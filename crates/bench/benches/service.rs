@@ -10,11 +10,11 @@
 //!   [`ShardedManager`] at shard counts 1/2/4, one driver thread per
 //!   shard. On a multi-core runner the rows scale with the shard count;
 //!   on one core they bound the routing/channel overhead instead.
-//! - `service_evict` / `service_codec` — eviction thrash (with
-//!   digest/no-digest/full-replay restoration ablations) and raw codec.
-//! - `service_store` — checkpoint cost shape (O(dirty) vs full rewrite)
-//!   and the [`SegmentStore`](webrobot_service::SegmentStore)
-//!   group-commit batch sweep.
+//! - `service_evict` / `service_codec` — eviction thrash, one deep
+//!   restore, and raw codec.
+//! - `service_store` — O(dirty) checkpoint cost and the
+//!   [`SegmentStore`](webrobot_service::SegmentStore) group-commit batch
+//!   sweep.
 //! - `service_latency` — per-request latency of a light session's
 //!   `outputs` probe on a single quantum-scheduled shard, once under a
 //!   *uniform* background load (another light session) and once under a
@@ -50,29 +50,19 @@ fn anchor_site(n: usize) -> Arc<Site> {
     Arc::new(b.start_at(home).finish())
 }
 
+/// A manager with `max_live` live slots over the anchor site.
 fn manager(max_live: usize) -> SessionManager {
-    manager_with(max_live, ITEMS_PER_SITE, true, true)
-}
-
-/// A manager with `max_live` live slots over an `items`-item site;
-/// `delta_restore: false` prices the legacy full-replay restoration the
-/// delta snapshots replaced, `engine_digest: false` the schedule-driven
-/// delta restore the engine digest replaced.
-fn manager_with(
-    max_live: usize,
-    items: usize,
-    delta_restore: bool,
-    engine_digest: bool,
-) -> SessionManager {
     let mut m = SessionManager::new(
         ServiceConfig::builder()
             .max_live_sessions(max_live)
-            .delta_restore(delta_restore)
-            .engine_digest(engine_digest)
             .build()
             .expect("valid bench config"),
     );
-    m.register_site("anchors", anchor_site(items), Value::Object(vec![]));
+    m.register_site(
+        "anchors",
+        anchor_site(ITEMS_PER_SITE),
+        Value::Object(vec![]),
+    );
     m
 }
 
@@ -203,7 +193,7 @@ fn bench_interleaved(c: &mut Criterion) {
                     || manager(64),
                     |mut m| {
                         run_interleaved(&mut |r| m.handle_json(r), sessions);
-                        assert_eq!(m.stats().sessions_closed as usize, sessions);
+                        assert_eq!(m.stats_v2().sessions.closed as usize, sessions);
                         m
                     },
                     criterion::BatchSize::LargeInput,
@@ -231,7 +221,7 @@ fn bench_sharded(c: &mut Criterion) {
             &shards,
             |bench, &shards| {
                 bench.iter(|| {
-                    let closed_before = m.stats().sessions_closed;
+                    let closed_before = m.stats_v2().sessions.closed;
                     std::thread::scope(|scope| {
                         for d in 0..shards {
                             let share = SESSIONS / shards + usize::from(d < SESSIONS % shards);
@@ -242,7 +232,7 @@ fn bench_sharded(c: &mut Criterion) {
                         }
                     });
                     assert_eq!(
-                        (m.stats().sessions_closed - closed_before) as usize,
+                        (m.stats_v2().sessions.closed - closed_before) as usize,
                         SESSIONS
                     );
                 });
@@ -273,69 +263,46 @@ fn nested_site() -> Arc<Site> {
     Arc::new(b.start_at(home).finish())
 }
 
-/// Eviction/restoration cost, pricing **delta restore** (the default —
-/// snapshots carry the engine's re-synthesis schedule, so restoration
-/// replays the history observe-only and re-enters the synthesizer only
-/// where the original session ran its worklist) against the
-/// `*_full_replay` ablation (`delta_restore: false` — one full synthesis
-/// call per replayed action, the pre-delta behavior):
+/// Eviction/restoration cost. A restore replays the history
+/// observe-only and adopts the snapshot's engine digest, so it pays
+/// replay and no synthesis:
 ///
-/// - `thrash_s4` / `thrash_s4_full_replay` — the end-to-end interleaved
-///   workload squeezed through a single live slot, so every tenant
-///   switch is an evict + restore. Histories stay short (≤ 6 actions on
-///   the flat site), so this bounds the *worst-case floor* of each
-///   restore rather than the delta advantage.
-/// - `restore_nested_h16` / `restore_nested_h16_full_replay` — one
-///   evict + restore cycle (driven over the wire as `evict` + `outputs`)
-///   of a session 16 actions deep into the nested two-field directory.
-///   Full replay pays one synthesis per action over an ever-longer
-///   trace; delta restore pays the recorded schedule only, so the gap
-///   here grows with session age (see BENCH_NOTES.md).
+/// - `thrash_s4` — the end-to-end interleaved workload squeezed through
+///   a single live slot, so every tenant switch is an evict + restore.
+///   Histories stay short (≤ 6 actions on the flat site), so this bounds
+///   the *worst-case floor* of each restore.
+/// - `restore_nested_h16` — one evict + restore cycle (driven over the
+///   wire as `evict` + `outputs`) of a session 16 actions deep into the
+///   nested two-field directory.
 fn bench_evict_thrash(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_evict");
     group.sample_size(10);
     let sessions = 4usize;
-    for (label, delta, digest) in [
-        ("thrash_s4", true, true),
-        ("thrash_s4_no_digest", true, false),
-        ("thrash_s4_full_replay", false, false),
-    ] {
-        group.throughput(Throughput::Elements(sessions as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &sessions,
-            |bench, &sessions| {
-                bench.iter_batched(
-                    || manager_with(1, ITEMS_PER_SITE, delta, digest),
-                    |mut m| {
-                        run_interleaved(&mut |r| m.handle_json(r), sessions);
-                        let stats = m.stats();
-                        assert_eq!(stats.sessions_closed as usize, sessions);
-                        assert!(stats.restores > 0, "eviction path exercised");
-                        m
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-    }
+    group.throughput(Throughput::Elements(sessions as u64));
+    group.bench_with_input(
+        BenchmarkId::from_parameter("thrash_s4"),
+        &sessions,
+        |bench, &sessions| {
+            bench.iter_batched(
+                || manager(1),
+                |mut m| {
+                    run_interleaved(&mut |r| m.handle_json(r), sessions);
+                    let stats = m.stats_v2();
+                    assert_eq!(stats.sessions.closed as usize, sessions);
+                    assert!(stats.residency.restores > 0, "eviction path exercised");
+                    m
+                },
+                criterion::BatchSize::LargeInput,
+            );
+        },
+    );
 
     group.throughput(Throughput::Elements(1));
-    for (label, delta, digest) in [
-        ("restore_nested_h16", true, true),
-        ("restore_nested_h16_no_digest", true, false),
-        ("restore_nested_h16_full_replay", false, false),
-    ] {
+    {
         // One session, demonstrated 4 actions and automated to a history
         // of 16, held by a manager with headroom; each iteration forces
         // one evict + one transparent restore through the wire boundary.
-        let mut m = SessionManager::new(
-            ServiceConfig::builder()
-                .delta_restore(delta)
-                .engine_digest(digest)
-                .build()
-                .expect("valid bench config"),
-        );
+        let mut m = SessionManager::new(ServiceConfig::default());
         m.register_site("people", nested_site(), Value::Object(vec![]));
         assert!(m
             .handle_json(r#"{"v": 1, "kind": "create", "site": "people"}"#)
@@ -371,13 +338,17 @@ fn bench_evict_thrash(c: &mut Criterion) {
             session: "s-1".to_string(),
         }
         .to_json();
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |bench, ()| {
-            bench.iter(|| {
-                assert!(m.evict("s-1".parse().unwrap()));
-                let reply = m.handle_json(&outputs_req);
-                assert!(reply.contains(r#""status":"ok""#), "{reply}");
-            });
-        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter("restore_nested_h16"),
+            &(),
+            |bench, ()| {
+                bench.iter(|| {
+                    assert!(m.evict("s-1".parse().unwrap()));
+                    let reply = m.handle_json(&outputs_req);
+                    assert!(reply.contains(r#""status":"ok""#), "{reply}");
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -401,7 +372,7 @@ fn bench_latency(c: &mut Criterion) {
         // the background tenant.
         let m = ShardedManager::new(
             ServiceConfig {
-                quantum: Some(std::time::Duration::from_micros(50)),
+                quantum: std::time::Duration::from_micros(50),
                 ..ServiceConfig::default()
             },
             1,
@@ -476,14 +447,12 @@ fn bench_latency(c: &mut Criterion) {
 }
 
 /// Checkpoint and snapshot-store cost shapes — the log-structured store
-/// story in three pairs of rows:
+/// story:
 ///
-/// - `checkpoint_dirty1_of_64` vs `checkpoint_full_rewrite_64` — a
-///   64-tenant manager where each iteration dirties exactly one session
-///   (a create), checkpoints, and closes it. Incremental checkpoints
-///   write the one dirty record plus shard metadata; the
-///   `incremental_checkpoint: false` ablation re-encodes and re-writes
-///   all 64 — the O(dirty) vs O(sessions) gap the dirty bit buys.
+/// - `checkpoint_dirty1_of_64` — a 64-tenant manager where each
+///   iteration dirties exactly one session (a create), checkpoints, and
+///   closes it. The checkpoint writes the one dirty record plus shard
+///   metadata: O(dirty), not O(sessions).
 /// - `segment_commit_ops_{1,8,64}` — 64 kilobyte-record puts plus a
 ///   final flush straight into a [`SegmentStore`], with the group-commit
 ///   batch threshold swept from fsync-per-op to one fsync per batch of
@@ -495,14 +464,10 @@ fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_store");
     group.sample_size(20);
 
-    for (label, incremental) in [
-        ("checkpoint_dirty1_of_64", true),
-        ("checkpoint_full_rewrite_64", false),
-    ] {
+    {
         let mut m = SessionManager::with_store(
             ServiceConfig::builder()
                 .max_live_sessions(128)
-                .incremental_checkpoint(incremental)
                 .build()
                 .expect("valid bench config"),
             Box::new(MemoryStore::new()),
@@ -526,7 +491,8 @@ fn bench_store(c: &mut Criterion) {
             .handle_json(r#"{"v": 1, "kind": "checkpoint"}"#)
             .contains("\"ok\""));
 
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |bench, ()| {
+        let id = BenchmarkId::from_parameter("checkpoint_dirty1_of_64");
+        group.bench_with_input(id, &(), |bench, ()| {
             bench.iter(|| {
                 // Exactly one dirty session per checkpoint: a fresh
                 // create (closed again afterwards, so the population

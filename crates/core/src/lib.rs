@@ -19,7 +19,7 @@
 //! | [`webrobot_semantics`] | Trace semantics (Figs. 7–9), satisfaction & generalization |
 //! | [`webrobot_synth`] | Speculate + validate synthesis engine (paper §5) |
 //! | [`webrobot_browser`] | Simulated websites, live execution, trace recording |
-//! | [`webrobot_interact`] | Demo/authorize/automate sessions (paper §6): typed [`Event`]/[`SessionError`] state machine, delta snapshot/restore |
+//! | [`webrobot_interact`] | Demo/authorize/automate sessions (paper §6): typed [`Event`]/[`SessionError`] state machine, snapshot/restore |
 //! | [`webrobot_service`] | Multi-tenant [`SessionManager`], sharding, persistent [`SnapshotStore`]s + the v1 JSON wire protocol (`PROTOCOL.md`) |
 //!
 //! This facade re-exports the most important types and offers [`WebRobot`],
@@ -96,10 +96,9 @@ pub use webrobot_semantics::{
     action_consistent, execute, generalizes, satisfies, trace_consistent, Stepper, Trace,
 };
 pub use webrobot_service::{
-    ConfigError, FileStore, MemoryStore, Metrics, MetricsSnapshot, Request, Response,
-    SegmentConfig, SegmentHandle, SegmentStore, ServiceConfig, ServiceConfigBuilder, ServiceError,
-    ServiceStats, SessionId, SessionManager, ShardedManager, SnapshotStore, StatsV2, StoreError,
-    PROTOCOL_VERSION,
+    ConfigError, MemoryStore, Metrics, MetricsSnapshot, Request, Response, SegmentConfig,
+    SegmentHandle, SegmentStore, ServiceConfig, ServiceConfigBuilder, ServiceError, SessionId,
+    SessionManager, ShardedManager, SnapshotStore, StatsV2, StoreError, PROTOCOL_VERSION,
 };
 pub use webrobot_synth::{EngineDigest, RankedProgram, SynthConfig, SynthResult, Synthesizer};
 

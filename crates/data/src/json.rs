@@ -43,12 +43,20 @@ impl fmt::Display for JsonError {
 
 impl Error for JsonError {}
 
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound one hostile input (a
+/// megabyte of `[`) overflows the stack and aborts the process; past the
+/// cap parsing fails with a [`JsonError`] instead. A session record with
+/// an engine digest nests 5 levels deep, so 128 leaves ample headroom.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input or on JSON constructs outside
-/// the paper's data-source grammar (floats, booleans, `null`).
+/// Returns [`JsonError`] on malformed input, on JSON constructs outside
+/// the paper's data-source grammar (floats, booleans, `null`), and on
+/// nesting deeper than [`MAX_JSON_DEPTH`].
 ///
 /// # Example
 ///
@@ -61,7 +69,11 @@ impl Error for JsonError {}
 /// # }
 /// ```
 pub fn parse_json(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -74,6 +86,8 @@ pub fn parse_json(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -97,8 +111,8 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         match self.rest().chars().next() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
+            Some('{') => self.nested(Self::parse_object),
+            Some('[') => self.nested(Self::parse_array),
             Some('"') => Ok(Value::Str(self.parse_string()?)),
             Some(c) if c == '-' || c.is_ascii_digit() => self.parse_int(),
             Some(c) => Err(JsonError::new(
@@ -107,6 +121,24 @@ impl<'a> Parser<'a> {
             )),
             None => Err(JsonError::new("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(JsonError::new(
+                format!("nesting deeper than {MAX_JSON_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<Value, JsonError> {
@@ -287,5 +319,39 @@ mod tests {
     fn error_positions_point_into_input() {
         let err = parse_json("{\"a\": flse}").unwrap_err();
         assert_eq!(err.position(), 6);
+    }
+
+    /// `depth` levels of arrays and objects, alternating so both recursive
+    /// paths are counted: `[{"k":[{"k":…0…}]}]`.
+    fn nested_doc(depth: usize) -> String {
+        let (mut open, mut close) = (String::new(), String::new());
+        for level in 0..depth {
+            if level % 2 == 0 {
+                open.push('[');
+                close.insert(0, ']');
+            } else {
+                open.push_str("{\"k\":");
+                close.insert(0, '}');
+            }
+        }
+        open + "0" + &close
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses() {
+        let v = parse_json(&nested_doc(MAX_JSON_DEPTH)).unwrap();
+        assert_eq!(parse_json(&v.to_json()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let err = parse_json(&nested_doc(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // The error points at the first bracket past the cap.
+        assert_eq!(&nested_doc(MAX_JSON_DEPTH + 1)[err.position()..][..1], "[");
+        // A megabyte of `[` fails the same way instead of exhausting the
+        // stack.
+        let err = parse_json(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.position(), MAX_JSON_DEPTH);
     }
 }

@@ -30,5 +30,5 @@
 mod json;
 mod value;
 
-pub use json::{parse_json, JsonError};
+pub use json::{parse_json, JsonError, MAX_JSON_DEPTH};
 pub use value::{PathSeg, Value, ValuePath};

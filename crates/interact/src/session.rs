@@ -3,9 +3,7 @@
 //! A [`Session`] is a *total, typed state machine*: every input is an
 //! [`Event`] dispatched through [`Session::handle`], every invalid input is
 //! a [`SessionError`] (never a panic), and nothing executes after the
-//! session reaches [`Mode::Done`]. The legacy method surface
-//! ([`Session::demonstrate`], [`Session::authorize`], …) is kept as thin
-//! wrappers over `handle`.
+//! session reaches [`Mode::Done`].
 //!
 //! Sessions can be suspended and resumed: [`Session::snapshot`] captures a
 //! compact, replayable description (no synthesizer worklists, no live DOM)
@@ -176,26 +174,10 @@ impl StepOutcome {
 ///
 /// Produced by [`Session::snapshot`], consumed by [`Session::restore`].
 /// Restoration replays the executed actions through a fresh browser and
-/// synthesizer; since both are deterministic, the restored session
-/// produces the same predictions and outputs as the original (see the
-/// snapshot round-trip tests and `tests/service.rs`).
-///
-/// # Delta snapshots
-///
-/// Next to the replayable action history, a snapshot records the engine's
-/// **re-synthesis schedule** ([`SessionSnapshot::resynth`]): the trace
-/// lengths at which the original session's synthesizer actually ran its
-/// worklist instead of answering from the incremental fast path. Between
-/// two scheduled points the engine's stored state provably does not move
-/// (the fast path returns before touching the worklist), so
-/// [`Session::restore`] replays the actions observe-only and re-enters the
-/// engine only at the scheduled points — the *delta* of synthesis work
-/// since the engine's last full run — finishing with one fast-path call
-/// that resumes the cached programs through the engine's own
-/// `resume_incremental`/refresh machinery. A snapshot whose schedule was
-/// stripped ([`SessionSnapshot::without_schedule`], or a persisted v1
-/// record without a `resynth` field) restores through the legacy path:
-/// one full synthesis per replayed action.
+/// synthesizer, observe-only, then adopts the synthesizer's search state
+/// from [`SessionSnapshot::engine`]; since replay is deterministic, the
+/// restored session produces the same predictions and outputs as the
+/// original (see the snapshot round-trip tests and `tests/service.rs`).
 ///
 /// The fields are public so `webrobot_service` can persist snapshots in
 /// the wire JSON subset and rebuild them when a store is reopened. There
@@ -223,22 +205,13 @@ pub struct SessionSnapshot {
     pub automated_steps: usize,
     /// The cached last-generalizing program, if any.
     pub last_program: Option<webrobot_lang::Program>,
-    /// The delta-restore schedule: the strictly increasing trace lengths
-    /// at which the synthesizer ran a full (non-fast-path) worklist pass.
-    /// `None` marks a legacy snapshot that restores via full per-action
-    /// replay.
-    pub resynth: Option<Vec<usize>>,
     /// The synthesizer's stored search state (worklist, processed
     /// rewrites, generalizing programs), captured as an adoptable
-    /// [`EngineDigest`]. When both this and [`resynth`] are present,
-    /// restoration replays the history observe-only and *adopts* the
-    /// engine state instead of re-running any scheduled worklist pass —
-    /// the restore floor drops from "replay + scheduled synthesis" to
-    /// "replay". `None` (a pre-digest record, or a digest stripped by
-    /// [`SessionSnapshot::without_digest`]) restores through the
-    /// schedule as before.
-    ///
-    /// [`resynth`]: SessionSnapshot::resynth
+    /// [`EngineDigest`]: restoration replays the history observe-only
+    /// and *adopts* it, so a restore costs replay and no synthesis.
+    /// `None` (an empty history, or a record written before digests
+    /// existed) restores with one full synthesis over the replayed
+    /// trace.
     pub engine: Option<EngineDigest>,
 }
 
@@ -251,28 +224,6 @@ impl SessionSnapshot {
     /// The mode the session was in when snapshotted.
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// Strips the delta-restore schedule (and with it the engine digest,
-    /// which is only usable alongside the schedule), producing a snapshot
-    /// that [`Session::restore`] rebuilds through the legacy full-replay
-    /// path (one synthesis run per executed action). Used by the eviction
-    /// benchmarks to price delta restoration against full replay, and by
-    /// the service layer when `delta_restore` is disabled.
-    pub fn without_schedule(mut self) -> SessionSnapshot {
-        self.resynth = None;
-        self.engine = None;
-        self
-    }
-
-    /// Strips only the engine digest, producing a snapshot that restores
-    /// through the schedule-driven delta path (replay observe-only,
-    /// re-synthesize at the recorded points). Used to price digest
-    /// adoption against scheduled re-synthesis, and by the service layer
-    /// when `engine_digest` is disabled.
-    pub fn without_digest(mut self) -> SessionSnapshot {
-        self.engine = None;
-        self
     }
 }
 
@@ -313,11 +264,6 @@ pub struct Session {
     executed: Vec<Action>,
     automated_steps: usize,
     last_program: Option<webrobot_lang::Program>,
-    /// Trace lengths at which `refresh_predictions` ran a full
-    /// (non-fast-path) synthesis — the delta-restore schedule carried by
-    /// [`SessionSnapshot::resynth`]. Strictly increasing: each executed
-    /// action triggers exactly one synthesis call.
-    resynth: Vec<usize>,
     /// The half-finished step of a parked sliced synthesis (see
     /// [`Session::handle_quantum`]); `None` whenever the session is
     /// driven through the unsliced [`Session::handle`].
@@ -351,7 +297,6 @@ impl Session {
             executed: Vec::new(),
             automated_steps: 0,
             last_program: None,
-            resynth: Vec::new(),
             pending: None,
         }
     }
@@ -401,8 +346,7 @@ impl Session {
             })
     }
 
-    /// Dispatches one event through the state machine. This is the single
-    /// entry point every legacy wrapper delegates to; the validity table
+    /// Dispatches one event through the state machine; the validity table
     /// lives on [`Event`].
     ///
     /// # Errors
@@ -638,17 +582,9 @@ impl Session {
         self.apply_synthesis(result);
     }
 
-    /// The shared tail of every synthesis — sliced or not: schedule
-    /// bookkeeping, cached program, predictions, and the
-    /// demonstrate/authorize mode split.
+    /// The shared tail of every synthesis — sliced or not: cached
+    /// program, predictions, and the demonstrate/authorize mode split.
     fn apply_synthesis(&mut self, result: webrobot_synth::SynthResult) {
-        if !result.stats.fast_path {
-            // The worklist actually ran at this trace length: record it in
-            // the delta-restore schedule. Everywhere else the engine
-            // answered from its cached programs without touching stored
-            // state, so a restore may skip the call entirely.
-            self.resynth.push(self.executed.len());
-        }
         if let Some(best) = result.programs.first() {
             self.last_program = Some(best.program.clone());
         }
@@ -719,79 +655,11 @@ impl Session {
         StepOutcome::Interrupted
     }
 
-    // ───────────────────── legacy wrappers ─────────────────────
-
-    /// Step 1 of Fig. 3: the user demonstrates one action. Thin wrapper
-    /// over [`Session::handle`] with [`Event::Demonstrate`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::handle`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Session::handle(Event::Demonstrate(action))"
-    )]
-    pub fn demonstrate(&mut self, action: &Action) -> Result<StepOutcome, SessionError> {
-        self.handle(Event::Demonstrate(action.clone()))
-    }
-
-    /// Step 4 of Fig. 3: the user accepts prediction `index` or rejects
-    /// them all (`None`). Thin wrapper over [`Session::handle`] with
-    /// [`Event::Accept`] / [`Event::RejectAll`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::handle`]. An out-of-range index is
-    /// [`SessionError::InvalidPrediction`] (it used to be a panic).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Session::handle(Event::Accept { index }) / Session::handle(Event::RejectAll)"
-    )]
-    pub fn authorize(&mut self, index: Option<usize>) -> Result<StepOutcome, SessionError> {
-        match index {
-            Some(index) => self.handle(Event::Accept { index }),
-            None => self.handle(Event::RejectAll),
-        }
-    }
-
-    /// Step 6 of Fig. 3: one automated step. Thin wrapper over
-    /// [`Session::handle`] with [`Event::AutomateStep`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::handle`].
-    #[deprecated(since = "0.1.0", note = "use Session::handle(Event::AutomateStep)")]
-    pub fn automate_step(&mut self) -> Result<StepOutcome, SessionError> {
-        self.handle(Event::AutomateStep)
-    }
-
-    /// The user interrupts (paper §2). Thin wrapper over
-    /// [`Session::handle`] with [`Event::Interrupt`].
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::SessionClosed`] if the session already finished.
-    #[deprecated(since = "0.1.0", note = "use Session::handle(Event::Interrupt)")]
-    pub fn interrupt(&mut self) -> Result<StepOutcome, SessionError> {
-        self.handle(Event::Interrupt)
-    }
-
-    /// Ends the session. Thin wrapper over [`Session::handle`] with
-    /// [`Event::Finish`].
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::SessionClosed`] if the session already finished.
-    #[deprecated(since = "0.1.0", note = "use Session::handle(Event::Finish)")]
-    pub fn finish(&mut self) -> Result<StepOutcome, SessionError> {
-        self.handle(Event::Finish)
-    }
-
     // ───────────────────── snapshot / restore ─────────────────────
 
     /// Captures a compact, replayable snapshot of this session (site
-    /// handle, input, config, executed actions, the delta-restore schedule,
-    /// and the user-visible state: mode, predictions, accept/automation
+    /// handle, input, config, executed actions, the engine digest, and
+    /// the user-visible state: mode, predictions, accept/automation
     /// counters, cached program).
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
@@ -804,7 +672,6 @@ impl Session {
             consecutive_accepts: self.consecutive_accepts,
             automated_steps: self.automated_steps,
             last_program: self.last_program.clone(),
-            resynth: Some(self.resynth.clone()),
             // An empty history needs no digest: restoration builds a
             // fresh synthesizer, which *is* the state at trace length 0.
             // (`digest()` itself returns `None` only for a parked sliced
@@ -822,31 +689,15 @@ impl Session {
     /// the restored session behaves like the original (modulo synthesis
     /// deadline truncation under extreme load; see `SynthConfig::timeout`).
     ///
-    /// With a delta snapshot (`resynth` present — the default) the
-    /// executed actions are replayed through the browser and fed to the
-    /// synthesizer observe-only; the engine runs only at the recorded
-    /// schedule points, plus one final call that resumes the cached
-    /// programs through the incremental fast path. This is equivalent to
-    /// the legacy full replay because the engine's stored state does not
-    /// move during fast-path calls, and refreshing cached programs over a
-    /// batch of observations makes exactly the per-observation retention
-    /// decisions (pinned by `delta_restore_matches_full_replay` here and
-    /// the eviction differentials in `tests/service.rs`) — while skipping
-    /// the one-synthesis-per-action cascade that made restoration cost
-    /// scale with the whole history.
-    ///
-    /// A legacy snapshot (`resynth: None`) replays with one synthesis run
-    /// per action, exactly as the original session ran; the restored
-    /// session re-derives its schedule along the way.
-    ///
-    /// A snapshot carrying an [`EngineDigest`]
-    /// ([`SessionSnapshot::engine`], captured by default) goes one step
-    /// further: the replay is entirely observe-only and the engine state
-    /// is adopted from the digest, skipping even the scheduled worklist
-    /// runs. A digest the adoption check rejects (tampered by hand)
-    /// degrades to one full synthesis over the complete trace rather
-    /// than failing the restore — the replayed history, not the digest,
-    /// is authoritative.
+    /// The executed actions are replayed through the browser and fed to
+    /// the synthesizer observe-only — zero synthesize calls — and the
+    /// engine state is then adopted from [`SessionSnapshot::engine`], so
+    /// a restore costs replay alone. A snapshot without a digest (one
+    /// written before digests existed), or with one the adoption check
+    /// rejects (tampered by hand), gets one full synthesis over the
+    /// complete trace instead: incremental ≡ from-scratch (the
+    /// differential harness pins it), and the replayed history, not the
+    /// digest, is authoritative.
     ///
     /// # Errors
     ///
@@ -854,52 +705,17 @@ impl Session {
     /// (only possible for snapshots tampered with by hand).
     pub fn restore(snap: &SessionSnapshot) -> Result<Session, SessionError> {
         let mut session = Session::new(snap.site.clone(), snap.input.clone(), snap.cfg.clone());
-        match &snap.resynth {
-            // Digest restore: replay the history observe-only — zero
-            // synthesize calls — then adopt the captured engine state
-            // directly. Equivalent to the schedule-driven path because
-            // the digest *is* the state that path would re-derive, and
-            // strictly cheaper: the scheduled worklist runs (the restore
-            // floor on flat sites, where the schedule front-loads) are
-            // skipped entirely.
-            Some(schedule) if snap.engine.is_some() && !snap.executed.is_empty() => {
-                for action in &snap.executed {
-                    session.perform_and_record(action)?;
-                }
-                let digest = snap.engine.as_ref().expect("guarded by the match arm");
-                if !session.synth.adopt_digest(digest) {
-                    // A digest inconsistent with the replayed history
-                    // (hand-tampered record): fall back to one full
-                    // synthesis over the complete trace. Incremental ≡
-                    // from-scratch (the differential harness pins it), so
-                    // the observable session state is still correct.
-                    let _ = session.synth.synthesize();
-                }
-                session.resynth = schedule.clone();
-            }
-            Some(schedule) => {
-                let mut next = schedule.iter().peekable();
-                for (i, action) in snap.executed.iter().enumerate() {
-                    session.perform_and_record(action)?;
-                    if next.peek() == Some(&&(i + 1)) {
-                        next.next();
-                        let _ = session.synth.synthesize();
-                    }
-                }
-                // Sync the cached generalizing programs to the full trace
-                // unless the last replayed step already ran the engine; by
-                // construction this call hits the fast path (the original
-                // session's last synthesis did).
-                if !snap.executed.is_empty() && schedule.last() != Some(&snap.executed.len()) {
-                    let _ = session.synth.synthesize();
-                }
-                session.resynth = schedule.clone();
-            }
-            None => {
-                for action in &snap.executed {
-                    session.perform_and_record(action)?;
-                    session.refresh_predictions();
-                }
+        for action in &snap.executed {
+            session.perform_and_record(action)?;
+        }
+        // A fresh synthesizer already is the state at trace length 0.
+        if !snap.executed.is_empty() {
+            let adopted = snap
+                .engine
+                .as_ref()
+                .is_some_and(|digest| session.synth.adopt_digest(digest));
+            if !adopted {
+                let _ = session.synth.synthesize();
             }
         }
         session.mode = snap.mode;
@@ -937,22 +753,6 @@ mod tests {
 
     fn scrape(i: usize) -> Action {
         Action::ScrapeText(format!("/a[{i}]").parse().unwrap())
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_still_delegate_to_handle() {
-        // The PR-3 convenience wrappers are deprecated but must keep
-        // behaving exactly like the `handle` calls they forward to.
-        let mut s = session(6);
-        s.demonstrate(&scrape(1)).unwrap();
-        s.demonstrate(&scrape(2)).unwrap();
-        s.authorize(Some(0)).unwrap();
-        s.authorize(Some(0)).unwrap();
-        s.automate_step().unwrap();
-        assert_eq!(s.interrupt(), Ok(StepOutcome::Interrupted));
-        assert_eq!(s.finish(), Ok(StepOutcome::Finished));
-        assert_eq!(s.authorize(None), Err(SessionError::SessionClosed));
     }
 
     #[test]
@@ -1199,125 +999,69 @@ mod tests {
         assert_eq!(original.executed(), restored.executed());
     }
 
-    /// The delta-restore schedule records exactly the non-fast-path
-    /// synthesis points and rides along in the snapshot.
-    #[test]
-    fn resynth_schedule_is_recorded_and_snapshotted() {
-        let mut s = session(6);
+    /// A session three events into the 8-anchor task, mid-authorization.
+    fn mid_task_session() -> Session {
+        let mut s = session(8);
         s.handle(Event::Demonstrate(scrape(1))).unwrap();
         s.handle(Event::Demonstrate(scrape(2))).unwrap();
-        let snap = s.snapshot();
-        let schedule = snap.resynth.clone().expect("delta snapshots by default");
-        // The first synthesis can never answer from an (empty) program
-        // cache, so the schedule always starts at trace length 1.
-        assert_eq!(schedule.first(), Some(&1));
-        assert!(
-            schedule.windows(2).all(|w| w[0] < w[1]),
-            "strictly increasing: one synthesis per executed action"
-        );
-        // Steady-state accepts ride the fast path: the schedule stops
-        // growing while the cached program keeps predicting.
-        let before = schedule.len();
         s.handle(Event::Accept { index: 0 }).unwrap();
-        s.handle(Event::Accept { index: 0 }).unwrap();
-        let after = s.snapshot().resynth.unwrap();
-        assert_eq!(&after[..before], &schedule[..]);
-        assert_eq!(after.len(), before, "accepts answered from the fast path");
+        s
     }
 
-    /// Delta restoration ≡ legacy full replay ≡ the original session: all
-    /// three continue identically to the end of the task, and the legacy
-    /// path re-derives the same schedule the delta path carried over.
-    #[test]
-    fn delta_restore_matches_full_replay() {
-        let mut original = session(8);
-        original.handle(Event::Demonstrate(scrape(1))).unwrap();
-        original.handle(Event::Demonstrate(scrape(2))).unwrap();
-        original.handle(Event::Accept { index: 0 }).unwrap();
-        let snap = original.snapshot();
-        let mut delta = Session::restore(&snap).unwrap();
-        let mut full = Session::restore(&snap.clone().without_schedule()).unwrap();
-
-        for s in [&delta, &full] {
-            assert_eq!(s.mode(), original.mode());
-            assert_eq!(s.executed(), original.executed());
-            assert_eq!(s.predictions(), original.predictions());
-            assert_eq!(s.browser().outputs(), original.browser().outputs());
-            assert_eq!(s.current_program(), original.current_program());
-        }
-
+    /// Asserts `restored` matches `original` now, then drives both to the
+    /// end of the task in lockstep, asserting every reply equal.
+    fn assert_continues_like(original: &mut Session, restored: &mut Session) {
+        assert_eq!(restored.mode(), original.mode());
+        assert_eq!(restored.executed(), original.executed());
+        assert_eq!(restored.predictions(), original.predictions());
+        assert_eq!(restored.browser().outputs(), original.browser().outputs());
+        assert_eq!(restored.current_program(), original.current_program());
         loop {
             let a = original.handle(Event::Accept { index: 0 });
-            assert_eq!(a, delta.handle(Event::Accept { index: 0 }));
-            assert_eq!(a, full.handle(Event::Accept { index: 0 }));
-            assert_eq!(original.predictions(), delta.predictions());
-            assert_eq!(original.predictions(), full.predictions());
+            assert_eq!(a, restored.handle(Event::Accept { index: 0 }));
+            assert_eq!(original.predictions(), restored.predictions());
             if original.mode() != Mode::Authorize {
                 break;
             }
         }
         while original.mode() == Mode::Automate {
             let a = original.handle(Event::AutomateStep);
-            assert_eq!(a, delta.handle(Event::AutomateStep));
-            assert_eq!(a, full.handle(Event::AutomateStep));
+            assert_eq!(a, restored.handle(Event::AutomateStep));
         }
-        assert_eq!(original.browser().outputs(), delta.browser().outputs());
-        assert_eq!(original.browser().outputs(), full.browser().outputs());
-        assert_eq!(original.executed(), delta.executed());
-        assert_eq!(original.snapshot().resynth, delta.snapshot().resynth);
-        assert_eq!(original.snapshot().resynth, full.snapshot().resynth);
+        assert_eq!(original.browser().outputs(), restored.browser().outputs());
+        assert_eq!(original.executed(), restored.executed());
     }
 
-    /// Digest restore ≡ schedule-driven delta restore ≡ legacy full
-    /// replay: all three rebuild a session that continues identically,
-    /// and the digest variant is the only one that runs zero synthesize
-    /// calls during replay (witnessed by the adopted engine answering
-    /// the next event from the fast path exactly like the original).
+    /// Digest restore ≡ the original session: the restored session
+    /// continues identically to the end of the task, and its engine ends
+    /// in the same state (the adopted digest is the captured engine).
     #[test]
-    fn digest_restore_matches_schedule_and_full_replay() {
-        let mut original = session(8);
-        original.handle(Event::Demonstrate(scrape(1))).unwrap();
-        original.handle(Event::Demonstrate(scrape(2))).unwrap();
-        original.handle(Event::Accept { index: 0 }).unwrap();
+    fn digest_restore_matches_the_original_to_the_end_of_the_task() {
+        let mut original = mid_task_session();
         let snap = original.snapshot();
-        assert!(snap.engine.is_some(), "snapshots carry a digest by default");
-        let mut digest = Session::restore(&snap).unwrap();
-        let mut sched = Session::restore(&snap.clone().without_digest()).unwrap();
-        let mut full = Session::restore(&snap.clone().without_schedule()).unwrap();
-
-        for s in [&digest, &sched, &full] {
-            assert_eq!(s.mode(), original.mode());
-            assert_eq!(s.executed(), original.executed());
-            assert_eq!(s.predictions(), original.predictions());
-            assert_eq!(s.browser().outputs(), original.browser().outputs());
-            assert_eq!(s.current_program(), original.current_program());
-        }
-
-        loop {
-            let a = original.handle(Event::Accept { index: 0 });
-            assert_eq!(a, digest.handle(Event::Accept { index: 0 }));
-            assert_eq!(a, sched.handle(Event::Accept { index: 0 }));
-            assert_eq!(a, full.handle(Event::Accept { index: 0 }));
-            assert_eq!(original.predictions(), digest.predictions());
-            if original.mode() != Mode::Authorize {
-                break;
-            }
-        }
-        while original.mode() == Mode::Automate {
-            let a = original.handle(Event::AutomateStep);
-            assert_eq!(a, digest.handle(Event::AutomateStep));
-            assert_eq!(a, sched.handle(Event::AutomateStep));
-            assert_eq!(a, full.handle(Event::AutomateStep));
-        }
-        assert_eq!(original.browser().outputs(), digest.browser().outputs());
-        assert_eq!(original.snapshot().resynth, digest.snapshot().resynth);
-        assert_eq!(original.snapshot().engine, digest.snapshot().engine);
+        assert!(snap.engine.is_some(), "snapshots carry a digest");
+        let mut restored = Session::restore(&snap).unwrap();
+        assert_eq!(restored.snapshot().engine, snap.engine);
+        assert_continues_like(&mut original, &mut restored);
+        assert_eq!(original.snapshot().engine, restored.snapshot().engine);
     }
 
-    /// A tampered digest degrades to a correct (re-synthesized) restore
-    /// instead of failing: the replayed history is authoritative.
+    /// A snapshot without a digest (as written before digests existed)
+    /// restores through one full synthesis and still continues exactly
+    /// like the original to the end of the task.
     #[test]
-    fn tampered_digest_degrades_to_resynthesis() {
+    fn restore_without_a_digest_matches_the_original_to_the_end_of_the_task() {
+        let mut original = mid_task_session();
+        let mut snap = original.snapshot();
+        snap.engine = None;
+        let mut restored = Session::restore(&snap).unwrap();
+        assert_continues_like(&mut original, &mut restored);
+    }
+
+    /// A tampered digest degrades to a correct (fully synthesized)
+    /// restore instead of failing: the replayed history is authoritative.
+    #[test]
+    fn tampered_digest_degrades_to_full_synthesis() {
         let mut s = session(6);
         s.handle(Event::Demonstrate(scrape(1))).unwrap();
         s.handle(Event::Demonstrate(scrape(2))).unwrap();
@@ -1330,11 +1074,11 @@ mod tests {
         assert_eq!(restored.current_program(), s.current_program());
     }
 
-    /// Re-eviction after a delta restore keeps working: snapshot → delta
-    /// restore → snapshot → delta restore round-trips (the thrash pattern
-    /// the service's LRU eviction produces).
+    /// Re-eviction after a restore keeps working: snapshot → restore →
+    /// snapshot → restore round-trips (the thrash pattern the service's
+    /// LRU eviction produces).
     #[test]
-    fn repeated_delta_snapshot_cycles_round_trip() {
+    fn repeated_snapshot_cycles_round_trip() {
         let mut reference = session(7);
         let mut thrashed = Session::restore(&session(7).snapshot()).unwrap();
         let drive = |s: &mut Session, event: Event| s.handle(event);
@@ -1343,7 +1087,7 @@ mod tests {
                 drive(&mut reference, Event::Demonstrate(scrape(i))),
                 drive(&mut thrashed, Event::Demonstrate(scrape(i)))
             );
-            // Evict + delta-restore the subject between every event.
+            // Evict + restore the subject between every event.
             thrashed = Session::restore(&thrashed.snapshot()).unwrap();
         }
         while reference.mode() == Mode::Authorize {
@@ -1396,7 +1140,7 @@ mod tests {
                 s.predictions().to_vec(),
                 s.executed().len(),
                 s.browser().outputs().to_vec(),
-                s.snapshot().resynth,
+                s.snapshot().engine,
             )
         };
         let events: Vec<Event> = vec![

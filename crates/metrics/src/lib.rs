@@ -75,8 +75,6 @@ pub enum RequestKind {
     Event,
     /// `{"kind":"outputs"}` — read a session's output log.
     Outputs,
-    /// `{"kind":"stats"}` — legacy flat counter dump.
-    Stats,
     /// `{"kind":"metrics"}` — versioned observability snapshot.
     Metrics,
     /// `{"kind":"close"}` — close a session.
@@ -91,11 +89,10 @@ pub enum RequestKind {
 
 impl RequestKind {
     /// Every kind, in snapshot order.
-    pub const ALL: [RequestKind; 9] = [
+    pub const ALL: [RequestKind; 8] = [
         RequestKind::Create,
         RequestKind::Event,
         RequestKind::Outputs,
-        RequestKind::Stats,
         RequestKind::Metrics,
         RequestKind::Close,
         RequestKind::Checkpoint,
@@ -109,7 +106,6 @@ impl RequestKind {
             RequestKind::Create => "create",
             RequestKind::Event => "event",
             RequestKind::Outputs => "outputs",
-            RequestKind::Stats => "stats",
             RequestKind::Metrics => "metrics",
             RequestKind::Close => "close",
             RequestKind::Checkpoint => "checkpoint",

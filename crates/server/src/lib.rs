@@ -29,10 +29,12 @@
 
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use webrobot_data::{parse_json, Value};
@@ -103,9 +105,28 @@ struct Shared {
     manager: ShardedManager,
     draining: AtomicBool,
     addr: SocketAddr,
-    /// One cloned handle per live connection, so a drain can close idle
-    /// connections that are blocked reading their next frame.
-    conns: Mutex<Vec<TcpStream>>,
+    /// One cloned handle per open connection, keyed by its accept
+    /// number, so a drain can close idle connections that are blocked
+    /// reading their next frame. Each connection removes its own entry
+    /// when it ends, so the registry holds open connections only.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+/// A connection's entry in [`Shared::conns`], removed when the
+/// connection ends — normally or by unwinding.
+struct Registration<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+    }
 }
 
 impl Shared {
@@ -124,11 +145,11 @@ impl Shared {
         // Close the *read* side of every connection: threads blocked in
         // `read_frame` see EOF and exit after finishing their current
         // request; replies already in flight still go out.
-        for conn in self
+        for (_, conn) in self
             .conns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
+            .drain()
         {
             conn.shutdown(Shutdown::Read).ok();
         }
@@ -181,7 +202,7 @@ impl Server {
                 manager,
                 draining: AtomicBool::new(false),
                 addr,
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
             }),
         })
     }
@@ -208,10 +229,10 @@ impl Server {
     /// # Errors
     ///
     /// Any I/O error from the accept loop itself; per-connection errors
-    /// only terminate that connection.
+    /// (and panics) only terminate that connection.
     pub fn run(self) -> io::Result<()> {
-        let mut workers = Vec::new();
-        for conn in self.listener.incoming() {
+        let mut workers: Vec<JoinHandle<()>> = Vec::new();
+        for (id, conn) in (0u64..).zip(self.listener.incoming()) {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
             }
@@ -220,9 +241,12 @@ impl Server {
             // TCP_NODELAY, Nagle holding the second write for the peer's
             // delayed ACK adds ~40ms per round trip on loopback.
             stream.set_nodelay(true).ok();
+            // Finished connections need no join: drop their handles, so
+            // the list only ever tracks open connections.
+            workers.retain(|worker| !worker.is_finished());
             let shared = self.shared.clone();
             workers.push(std::thread::spawn(move || {
-                serve_connection(stream, &shared)
+                serve_connection(id, stream, &shared)
             }));
         }
         for worker in workers {
@@ -234,14 +258,15 @@ impl Server {
 
 /// One connection: frames in, frames out, in order, until the client
 /// closes, a framing error occurs, or a drain ends the world.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+fn serve_connection(id: u64, mut stream: TcpStream, shared: &Shared) {
     if let Ok(handle) = stream.try_clone() {
         shared
             .conns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
+            .insert(id, handle);
     }
+    let _registration = Registration { shared, id };
     // A clean close, a truncated frame, and a drain-initiated shutdown
     // all end the connection the same way: stop reading.
     while let Ok(Some(frame)) = read_frame(&mut stream) {

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! webrobot-server [--addr 127.0.0.1:7411] [--shards N] [--store DIR]
-//!                 [--backend file|segment] [--gen-sites SEED]
-//!                 [--smoke] [--resilience]
+//!                 [--gen-sites SEED] [--smoke] [--resilience]
 //! ```
 //!
 //! Speaks the v1 JSON protocol with 4-byte big-endian length-prefixed
@@ -12,12 +11,11 @@
 //! `--gen-sites SEED` additionally registers one procedurally generated
 //! site per [`webrobot_benchmarks::GenFamily`] (named
 //! `gen-<family>-<seed>`), giving load harnesses richer workloads than
-//! the anchor page. `--store DIR`
-//! attaches a persistent store rooted at `DIR`, making sessions survive a
-//! restart: `--backend file` (the default) opens one
-//! [`webrobot_service::FileStore`] per shard, `--backend segment` opens a
-//! single log-structured [`webrobot_service::SegmentStore`] shared by all
-//! shards. `--smoke` runs an end-to-end self-check (bind an ephemeral
+//! the anchor page. `--store DIR` attaches a persistent store rooted at
+//! `DIR`, making sessions survive a restart: one log-structured
+//! [`webrobot_service::SegmentStore`] shared by all shards (a directory
+//! of `<key>.json` records, as earlier releases wrote it, is imported on
+//! open). `--smoke` runs an end-to-end self-check (bind an ephemeral
 //! port, drive one session over real TCP, drain); `--resilience` goes
 //! further — it spawns *this binary* as a store-backed child server,
 //! checkpoints a session over TCP, kills the child with SIGKILL, restarts
@@ -34,41 +32,23 @@ use webrobot_dom::parse_html;
 use webrobot_server::{Client, Server};
 use webrobot_service::{SegmentStore, ServiceConfig, ShardedManager, SnapshotStore};
 
-/// Which persistent store `--store DIR` opens.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Backend {
-    File,
-    Segment,
-}
-
-impl Backend {
-    fn as_str(self) -> &'static str {
-        match self {
-            Backend::File => "file",
-            Backend::Segment => "segment",
-        }
-    }
-}
-
 struct Options {
     addr: String,
     shards: usize,
     store: Option<String>,
-    backend: Backend,
     gen_sites: Option<u64>,
     smoke: bool,
     resilience: bool,
 }
 
 const USAGE: &str = "usage: webrobot-server [--addr HOST:PORT] [--shards N] [--store DIR] \
-                     [--backend file|segment] [--gen-sites SEED] [--smoke] [--resilience]";
+                     [--gen-sites SEED] [--smoke] [--resilience]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         addr: "127.0.0.1:7411".to_string(),
         shards: 2,
         store: None,
-        backend: Backend::File,
         gen_sites: None,
         smoke: false,
         resilience: false,
@@ -85,15 +65,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--shards needs a number".to_string())?
             }
             "--store" => opts.store = Some(it.next().ok_or("--store needs a value")?.clone()),
-            "--backend" => {
-                opts.backend = match it.next().ok_or("--backend needs a value")?.as_str() {
-                    "file" => Backend::File,
-                    "segment" => Backend::Segment,
-                    other => {
-                        return Err(format!("unknown backend '{other}' (expected file|segment)"))
-                    }
-                }
-            }
             "--gen-sites" => {
                 opts.gen_sites = Some(
                     it.next()
@@ -129,26 +100,14 @@ fn build_manager(opts: &Options) -> Result<ShardedManager, String> {
         .map_err(|e| format!("config: {e}"))?;
     let manager = match &opts.store {
         Some(dir) => {
-            let shards = opts.shards.max(1);
-            let stores: Vec<Box<dyn SnapshotStore>> = match opts.backend {
-                Backend::File => (0..shards)
-                    .map(|_| {
-                        webrobot_service::FileStore::open(dir)
-                            .map(|s| Box::new(s) as Box<dyn SnapshotStore>)
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("open store '{dir}': {e}"))?,
-                Backend::Segment => {
-                    // One log for the whole deployment; the shards share
-                    // it through cloned handles.
-                    let handle = SegmentStore::open(dir)
-                        .map_err(|e| format!("open store '{dir}': {e}"))?
-                        .into_shared();
-                    (0..shards)
-                        .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
-                        .collect()
-                }
-            };
+            // One log for the whole deployment; the shards share it
+            // through cloned handles.
+            let handle = SegmentStore::open(dir)
+                .map_err(|e| format!("open store '{dir}': {e}"))?
+                .into_shared();
+            let stores: Vec<Box<dyn SnapshotStore>> = (0..opts.shards.max(1))
+                .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
+                .collect();
             ShardedManager::with_stores(cfg, stores)
                 .map_err(|e| format!("reopen store '{dir}': {e}"))?
         }
@@ -231,10 +190,7 @@ fn smoke(opts: &Options) -> Result<(), String> {
 
 /// Spawns this binary as a store-backed child server on an ephemeral
 /// port and returns the child plus the address it printed in its banner.
-fn spawn_child_server(
-    dir: &std::path::Path,
-    backend: Backend,
-) -> Result<(std::process::Child, String), String> {
+fn spawn_child_server(dir: &std::path::Path) -> Result<(std::process::Child, String), String> {
     use std::io::BufRead as _;
 
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -247,8 +203,6 @@ fn spawn_child_server(
             "2",
             "--store",
             dir_arg.as_str(),
-            "--backend",
-            backend.as_str(),
         ])
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -347,12 +301,12 @@ fn resilience_after_restart(addr: &str, outputs_before: &str) -> Result<(), Stri
 /// Crash-resilience self-check: child server, TCP load, checkpoint, kill
 /// -9, restart on the same store, byte-identity. Exercises the real
 /// recovery path — no drop-flush, no in-process shortcuts.
-fn resilience(opts: &Options) -> Result<(), String> {
+fn resilience() -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!("webrobot-resilience-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
 
-    let (mut child, addr) = spawn_child_server(&dir, opts.backend)?;
+    let (mut child, addr) = spawn_child_server(&dir)?;
     let before = resilience_before_kill(&addr);
     // SIGKILL, deliberately while the server is live: only what the
     // checkpoint committed may survive — and everything it committed must.
@@ -360,7 +314,7 @@ fn resilience(opts: &Options) -> Result<(), String> {
     child.wait().map_err(|e| format!("reap child: {e}"))?;
     let before = before?;
 
-    let (mut child, addr) = spawn_child_server(&dir, opts.backend)?;
+    let (mut child, addr) = spawn_child_server(&dir)?;
     let verdict = resilience_after_restart(&addr, &before);
     if verdict.is_err() {
         child.kill().ok();
@@ -369,10 +323,7 @@ fn resilience(opts: &Options) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&dir);
     verdict?;
 
-    println!(
-        "resilience ok: session survived kill -9 byte-identically on the {} backend",
-        opts.backend.as_str()
-    );
+    println!("resilience ok: session survived kill -9 byte-identically");
     Ok(())
 }
 
@@ -386,7 +337,7 @@ fn main() -> ExitCode {
         }
     };
     let result = if opts.resilience {
-        resilience(&opts)
+        resilience()
     } else if opts.smoke {
         smoke(&opts)
     } else {

@@ -9,7 +9,7 @@ use webrobot_browser::{Site, SiteBuilder};
 use webrobot_data::Value;
 use webrobot_dom::parse_html;
 use webrobot_server::{read_frame, write_frame, Client, Server, MAX_FRAME};
-use webrobot_service::{ServiceConfig, ShardedManager, SnapshotStore};
+use webrobot_service::{SegmentStore, ServiceConfig, ShardedManager, SnapshotStore};
 
 fn anchor_site(n: usize) -> Arc<Site> {
     let body: String = (1..=n).map(|i| format!("<a>item {i}</a>")).collect();
@@ -92,8 +92,11 @@ fn concurrent_connections_multiplex_onto_one_service() {
     assert_eq!(sessions, ["s-1", "s-2"]);
 
     let mut client = Client::connect(addr).unwrap();
-    let stats = client.call(r#"{"v": 1, "kind": "stats"}"#).unwrap();
-    assert!(stats.contains(r#""events_ok":4"#), "{stats}");
+    let metrics = client.call(r#"{"v": 1, "kind": "metrics"}"#).unwrap();
+    assert!(
+        metrics.contains(r#""events":{"ok":4,"rejected":0}"#),
+        "{metrics}"
+    );
 
     let drained = client.drain().unwrap();
     assert!(drained.contains(r#""kind":"drained""#), "{drained}");
@@ -101,8 +104,30 @@ fn concurrent_connections_multiplex_onto_one_service() {
 
     // The drained server is gone: new connections fail or close.
     if let Ok(mut late) = Client::connect(addr) {
-        assert!(late.call(r#"{"v": 1, "kind": "stats"}"#).is_err());
+        assert!(late.call(r#"{"v": 1, "kind": "metrics"}"#).is_err());
     }
+}
+
+/// One hostile frame — a megabyte of `[` — is a typed `bad_request`, not
+/// a stack overflow that aborts the process and every tenant's sessions
+/// with it: the same server goes on creating sessions.
+#[test]
+fn a_deeply_nested_frame_is_a_bad_request_and_the_server_keeps_serving() {
+    let server = server(2);
+    let addr = server.local_addr().unwrap();
+    let serving = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client.call(&"[".repeat(1 << 20)).unwrap();
+    assert!(reply.contains(r#""code":"bad_request""#), "{reply}");
+    let created = client
+        .call(r#"{"v": 1, "kind": "create", "site": "anchors"}"#)
+        .unwrap();
+    assert!(created.contains(r#""session":"s-1""#), "{created}");
+
+    let drained = client.drain().unwrap();
+    assert!(drained.contains(r#""kind":"drained""#), "{drained}");
+    serving.join().unwrap().unwrap();
 }
 
 #[test]
@@ -114,10 +139,9 @@ fn drain_checkpoints_sessions_into_the_store() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let open_stores = || -> Vec<Box<dyn SnapshotStore>> {
+        let handle = SegmentStore::open(&dir).unwrap().into_shared();
         (0..2)
-            .map(|_| {
-                Box::new(webrobot_service::FileStore::open(&dir).unwrap()) as Box<dyn SnapshotStore>
-            })
+            .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
             .collect()
     };
 

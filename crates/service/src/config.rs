@@ -28,42 +28,19 @@ pub struct ServiceConfig {
     /// Hard cap on tracked sessions, live + evicted. Further `create`
     /// requests fail with `too_many_sessions`.
     pub max_sessions: usize,
-    /// Evict to **delta snapshots** (the default): snapshots carry the
-    /// engine's re-synthesis schedule, so restoration replays the action
-    /// history observe-only and re-enters the synthesizer only where the
-    /// original session actually ran its worklist. Disable to evict to
-    /// legacy full-replay snapshots (one synthesis per replayed action) —
-    /// the ablation the `service_evict` bench rows price against each
-    /// other; wire behavior is identical either way.
-    pub delta_restore: bool,
     /// Synthesis work-quantum for the sharded scheduler: each scheduling
     /// turn runs at most this much synthesis for one session before
     /// round-robining to the next ready session, so one pathological
     /// worklist degrades only its own session's latency, not the whole
-    /// shard's. `None` runs every step to completion (the legacy FIFO
-    /// behavior). Quantum-sliced synthesis is exactly equal to unsliced
+    /// shard's. Quantum-sliced synthesis is exactly equal to unsliced
     /// synthesis (pinned by the 76-benchmark differential), so this knob
     /// is invisible on the wire — it only redistributes latency.
-    pub quantum: Option<Duration>,
+    pub quantum: Duration,
     /// Bound on in-flight jobs per shard (queued in the channel, waiting
     /// in a run queue, or being processed). Jobs beyond the bound are
     /// rejected with the `overloaded` error code instead of growing the
     /// queue without limit.
     pub max_queued_per_shard: usize,
-    /// Skip clean sessions on `checkpoint` (the default): a session whose
-    /// store record is already current is not re-serialized or re-written,
-    /// making the periodic flush O(dirty sessions) instead of O(live
-    /// sessions). Disable to rewrite every record on every checkpoint —
-    /// the legacy behavior the `service_store` bench rows price the
-    /// dirty-bit against; wire behavior is identical either way.
-    pub incremental_checkpoint: bool,
-    /// Persist the synthesizer's engine digest (worklist, processed set,
-    /// generalization candidates) inside snapshots (the default), so a
-    /// delta restore adopts the engine state directly instead of
-    /// re-running the early schedule points. Disable to strip the digest
-    /// — the ablation the `service_store` restore rows price; wire
-    /// behavior is identical either way.
-    pub engine_digest: bool,
 }
 
 impl Default for ServiceConfig {
@@ -72,11 +49,8 @@ impl Default for ServiceConfig {
             session: SessionConfig::default(),
             max_live_sessions: 64,
             max_sessions: 4096,
-            delta_restore: true,
-            quantum: Some(Duration::from_millis(5)),
+            quantum: Duration::from_millis(5),
             max_queued_per_shard: 256,
-            incremental_checkpoint: true,
-            engine_digest: true,
         }
     }
 }
@@ -106,8 +80,7 @@ pub enum ConfigError {
     /// rejected as `overloaded`.
     ZeroQueueBound,
     /// A synthesis quantum below one millisecond: slicing overhead would
-    /// dominate useful synthesis work. Use `quantum(None)` for unsliced
-    /// run-to-completion instead.
+    /// dominate useful synthesis work.
     SubMillisecondQuantum {
         /// The rejected quantum.
         quantum: Duration,
@@ -122,7 +95,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQueueBound => write!(f, "max_queued_per_shard must be at least 1"),
             ConfigError::SubMillisecondQuantum { quantum } => write!(
                 f,
-                "quantum {quantum:?} is below 1ms; use quantum(None) for unsliced synthesis"
+                "quantum {quantum:?} is below 1ms; slicing overhead would dominate synthesis"
             ),
         }
     }
@@ -156,14 +129,8 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Chooses delta (true, default) or full-replay (false) snapshots.
-    pub fn delta_restore(mut self, on: bool) -> Self {
-        self.cfg.delta_restore = on;
-        self
-    }
-
-    /// Sets the synthesis work-quantum (`None` = run to completion).
-    pub fn quantum(mut self, quantum: Option<Duration>) -> Self {
+    /// Sets the synthesis work-quantum.
+    pub fn quantum(mut self, quantum: Duration) -> Self {
         self.cfg.quantum = quantum;
         self
     }
@@ -171,18 +138,6 @@ impl ServiceConfigBuilder {
     /// Sets the per-shard in-flight job bound.
     pub fn max_queued_per_shard(mut self, max: usize) -> Self {
         self.cfg.max_queued_per_shard = max;
-        self
-    }
-
-    /// Enables (default) or disables O(dirty) incremental checkpoints.
-    pub fn incremental_checkpoint(mut self, on: bool) -> Self {
-        self.cfg.incremental_checkpoint = on;
-        self
-    }
-
-    /// Enables (default) or disables persisting the engine digest.
-    pub fn engine_digest(mut self, on: bool) -> Self {
-        self.cfg.engine_digest = on;
         self
     }
 
@@ -202,10 +157,10 @@ impl ServiceConfigBuilder {
         if self.cfg.max_queued_per_shard == 0 {
             return Err(ConfigError::ZeroQueueBound);
         }
-        if let Some(quantum) = self.cfg.quantum {
-            if quantum < Duration::from_millis(1) {
-                return Err(ConfigError::SubMillisecondQuantum { quantum });
-            }
+        if self.cfg.quantum < Duration::from_millis(1) {
+            return Err(ConfigError::SubMillisecondQuantum {
+                quantum: self.cfg.quantum,
+            });
         }
         Ok(self.cfg)
     }
@@ -221,11 +176,8 @@ mod tests {
         let default = ServiceConfig::default();
         assert_eq!(built.max_live_sessions, default.max_live_sessions);
         assert_eq!(built.max_sessions, default.max_sessions);
-        assert_eq!(built.delta_restore, default.delta_restore);
         assert_eq!(built.quantum, default.quantum);
         assert_eq!(built.max_queued_per_shard, default.max_queued_per_shard);
-        assert_eq!(built.incremental_checkpoint, default.incremental_checkpoint);
-        assert_eq!(built.engine_digest, default.engine_digest);
     }
 
     #[test]
@@ -233,20 +185,14 @@ mod tests {
         let cfg = ServiceConfig::builder()
             .max_sessions(7)
             .max_live_sessions(2)
-            .quantum(Some(Duration::from_millis(10)))
+            .quantum(Duration::from_millis(10))
             .max_queued_per_shard(16)
-            .delta_restore(false)
-            .incremental_checkpoint(false)
-            .engine_digest(false)
             .build()
             .unwrap();
         assert_eq!(cfg.max_sessions, 7);
         assert_eq!(cfg.max_live_sessions, 2);
-        assert_eq!(cfg.quantum, Some(Duration::from_millis(10)));
+        assert_eq!(cfg.quantum, Duration::from_millis(10));
         assert_eq!(cfg.max_queued_per_shard, 16);
-        assert!(!cfg.delta_restore);
-        assert!(!cfg.incremental_checkpoint);
-        assert!(!cfg.engine_digest);
     }
 
     #[test]
@@ -273,7 +219,7 @@ mod tests {
             ConfigError::ZeroQueueBound
         );
         let err = ServiceConfig::builder()
-            .quantum(Some(Duration::from_micros(250)))
+            .quantum(Duration::from_micros(250))
             .build()
             .unwrap_err();
         assert_eq!(
@@ -283,7 +229,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("below 1ms"), "{err}");
-        // `None` (run to completion) is always valid.
-        ServiceConfig::builder().quantum(None).build().unwrap();
     }
 }

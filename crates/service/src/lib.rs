@@ -10,7 +10,7 @@
 //!   generated [`SessionId`]s, applies per-session synthesis deadlines,
 //!   evicts least-recently-used sessions to compact
 //!   [`webrobot_interact::SessionSnapshot`]s (restoring them transparently
-//!   on their next event), and aggregates [`ServiceStats`];
+//!   on their next event), and aggregates [`StatsV2`] counters;
 //! - [`Request`] / [`Response`] are the v1 wire protocol — JSON within the
 //!   paper's own data grammar, serialized via `webrobot_data` (no new
 //!   dependencies), fully documented in `PROTOCOL.md`;
@@ -28,8 +28,8 @@
 //! out-of-range accepts, events after `finish` — all are typed error
 //! responses, never panics.
 //!
-//! Sessions are also *durable*: attach a [`SnapshotStore`] (in-memory
-//! [`MemoryStore`] or directory-backed [`FileStore`]) via
+//! Sessions are also *durable*: attach a [`SnapshotStore`] (the
+//! log-structured [`SegmentStore`], or the in-memory [`MemoryStore`]) via
 //! [`SessionManager::with_store`] / [`ShardedManager::with_stores`] and
 //! evictions spill serialized snapshots into it, `checkpoint` (and drop)
 //! flush live sessions, and reopening the store resumes every session —
@@ -93,9 +93,9 @@ pub use protocol::{
     Response, PROTOCOL_VERSION,
 };
 pub use sharded::ShardedManager;
-pub use stats::{EventCounters, ResidencyCounters, ServiceStats, SessionCounters, StatsV2};
+pub use stats::{EventCounters, ResidencyCounters, SessionCounters, StatsV2};
 pub use store::{
-    FileStore, MemoryStore, SegmentConfig, SegmentHandle, SegmentStore, SnapshotStore, StoreError,
+    MemoryStore, SegmentConfig, SegmentHandle, SegmentStore, SnapshotStore, StoreError,
 };
 pub use webrobot_metrics::{
     bucket_bound, HistogramSnapshot, Metrics, MetricsSnapshot, RequestKind, RequestStats,

@@ -2,7 +2,7 @@
 //! generated [`SessionId`], with LRU/idle eviction backed by
 //! [`SessionSnapshot`]s, an optional persistent [`SnapshotStore`] behind
 //! the evictions (so a manager survives a process restart), and aggregate
-//! [`ServiceStats`].
+//! [`StatsV2`] counters.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -19,7 +19,7 @@ use webrobot_metrics::{Metrics, RequestKind};
 use crate::config::ServiceConfig;
 use crate::persist::{self, ManagerMeta};
 use crate::protocol::{self, Request, Response};
-use crate::stats::{ServiceStats, StatsV2};
+use crate::stats::StatsV2;
 use crate::store::{SnapshotStore, StoreError};
 
 /// The largest session id a manager will adopt from a store. Ids are
@@ -415,7 +415,7 @@ impl SessionManager {
             }
             manager.next_id = meta.next_id.max(manager.next_id);
             manager.clock = meta.clock;
-            manager.stats = StatsV2::from_legacy(&meta.stats);
+            manager.stats = meta.stats;
         }
         manager.adopt_sessions()?;
         Ok(manager)
@@ -723,12 +723,7 @@ impl SessionManager {
             return false;
         }
         let started = Instant::now();
-        let mut snapshot = session.snapshot();
-        if !self.cfg.delta_restore {
-            snapshot = snapshot.without_schedule();
-        } else if !self.cfg.engine_digest {
-            snapshot = snapshot.without_digest();
-        }
+        let snapshot = session.snapshot();
         let record = self
             .store
             .is_some()
@@ -774,15 +769,8 @@ impl SessionManager {
         count
     }
 
-    /// Current aggregate statistics in the flat legacy shape (the
-    /// `{"kind":"stats"}` wire reply). New code should prefer
-    /// [`SessionManager::stats_v2`].
-    pub fn stats(&self) -> ServiceStats {
-        self.stats_v2().legacy()
-    }
-
-    /// Current aggregate statistics in the versioned, grouped v2 shape
-    /// (what the `{"kind":"metrics"}` wire reply carries).
+    /// Current aggregate statistics (the `stats` group of the
+    /// `{"kind":"metrics"}` wire reply).
     pub fn stats_v2(&self) -> StatsV2 {
         let mut stats = self.stats;
         stats.sessions.live = self.live as u64;
@@ -868,19 +856,16 @@ impl SessionManager {
             // A clean session's store record is already current: skip the
             // serialization and the write entirely. This is what makes a
             // steady-state checkpoint O(dirty), not O(live).
-            if self.cfg.incremental_checkpoint && !tracked.dirty {
+            if !tracked.dirty {
                 continue;
             }
             let record = match &tracked.slot {
-                Slot::Live { session, .. } => {
-                    let mut snapshot = session.snapshot();
-                    if !self.cfg.delta_restore {
-                        snapshot = snapshot.without_schedule();
-                    } else if !self.cfg.engine_digest {
-                        snapshot = snapshot.without_digest();
-                    }
-                    persist::encode_session(id, &tracked.site, tracked.deadline_ms, &snapshot)
-                }
+                Slot::Live { session, .. } => persist::encode_session(
+                    id,
+                    &tracked.site,
+                    tracked.deadline_ms,
+                    &session.snapshot(),
+                ),
                 Slot::Evicted { snapshot } => {
                     persist::encode_session(id, &tracked.site, tracked.deadline_ms, snapshot)
                 }
@@ -894,7 +879,7 @@ impl SessionManager {
         let meta = persist::encode_meta(&ManagerMeta {
             next_id: self.next_id,
             clock: self.clock,
-            stats: self.stats.legacy(),
+            stats: self.stats,
         });
         let meta_key = format!("shard-{}-of-{}", self.id_first, self.id_stride);
         store.put(&meta_key, &meta)?;
@@ -978,7 +963,6 @@ impl SessionManager {
                     Err(e) => error_response(&e),
                 }
             }
-            Request::Stats => Response::Stats(self.stats()),
             Request::Metrics => {
                 self.refresh_gauges();
                 self.metrics.shard(self.metrics_shard).set_queue_depth(0);
@@ -1090,7 +1074,6 @@ impl SessionManager {
                     consecutive_accepts: record.consecutive_accepts,
                     automated_steps: record.automated_steps,
                     last_program: record.last_program,
-                    resynth: record.resynth,
                     engine: record.engine,
                 };
                 let session = Session::restore(&snapshot).map_err(ServiceError::Session)?;
@@ -1244,6 +1227,7 @@ pub(crate) fn error_response(e: &ServiceError) -> Response {
 mod tests {
     use super::*;
     use webrobot_browser::SiteBuilder;
+    use webrobot_data::parse_json;
     use webrobot_dom::parse_html;
 
     fn anchor_site(n: usize) -> Arc<Site> {
@@ -1357,11 +1341,11 @@ mod tests {
         let reply = m.dispatch(a, scrape(2)).unwrap();
         assert_eq!(reply.mode, Mode::Authorize, "restored session continues");
         assert!(m.is_evicted(b));
-        let stats = m.stats();
-        assert!(stats.evictions >= 2);
-        assert_eq!(stats.restores, 1);
-        assert_eq!(stats.live_sessions, 1);
-        assert_eq!(stats.evicted_sessions, 1);
+        let stats = m.stats_v2();
+        assert!(stats.residency.evictions >= 2);
+        assert_eq!(stats.residency.restores, 1);
+        assert_eq!(stats.sessions.live, 1);
+        assert_eq!(stats.sessions.evicted, 1);
     }
 
     #[test]
@@ -1400,9 +1384,9 @@ mod tests {
             Err(ServiceError::Session(SessionError::WrongMode { .. }))
         ));
         m.dispatch(id, scrape(1)).unwrap();
-        let stats = m.stats();
-        assert_eq!(stats.events_rejected, 1);
-        assert_eq!(stats.events_ok, 1);
+        let stats = m.stats_v2();
+        assert_eq!(stats.events.rejected, 1);
+        assert_eq!(stats.events.ok, 1);
     }
 
     #[test]
@@ -1416,33 +1400,61 @@ mod tests {
         }
     }
 
+    /// A segment store in a fresh scratch directory, shared through a
+    /// handle so a test can inspect what a manager wrote into it.
+    struct SharedStore {
+        dir: std::path::PathBuf,
+        handle: crate::store::SegmentHandle,
+    }
+
+    impl SharedStore {
+        fn new(name: &str) -> SharedStore {
+            let dir = std::env::temp_dir()
+                .join(format!("webrobot-manager-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let handle = crate::store::SegmentStore::open(&dir)
+                .unwrap()
+                .into_shared();
+            SharedStore { dir, handle }
+        }
+
+        fn boxed(&self) -> Box<dyn SnapshotStore> {
+            Box::new(self.handle.clone())
+        }
+    }
+
+    impl Drop for SharedStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
     #[test]
     fn evictions_spill_to_the_store_and_a_reopen_adopts_them() {
-        let dir =
-            std::env::temp_dir().join(format!("webrobot-manager-reopen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Box::new(crate::store::FileStore::open(&dir).unwrap());
-        let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
+        let store = SharedStore::new("reopen");
+        let mut m = SessionManager::with_store(ServiceConfig::default(), store.boxed()).unwrap();
         m.register_site("anchors", anchor_site(6), Value::Object(vec![]));
         let id = m.create("anchors", None, None).unwrap();
         m.dispatch(id, scrape(1)).unwrap();
         m.dispatch(id, scrape(2)).unwrap();
         // An eviction spills the snapshot record immediately.
         assert!(m.evict(id));
-        assert!(dir.join("s-1.json").exists(), "eviction spilled to disk");
-        let stats_before = m.stats();
+        assert!(
+            store.handle.get("s-1").unwrap().is_some(),
+            "eviction spilled to the store"
+        );
+        let stats_before = m.stats_v2();
         drop(m); // flush on drop writes the metadata record too
-        assert!(dir.join("shard-1-of-1.json").exists());
+        assert!(store.handle.get("shard-1-of-1").unwrap().is_some());
 
         // "Restart": reopen the store, re-register the site, continue.
-        let store = Box::new(crate::store::FileStore::open(&dir).unwrap());
-        let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
+        let mut m = SessionManager::with_store(ServiceConfig::default(), store.boxed()).unwrap();
         m.register_site("anchors", anchor_site(6), Value::Object(vec![]));
         assert_eq!(m.session_count(), 1);
         assert!(m.is_evicted(id), "adopted as a cold store record");
-        let stats = m.stats();
-        assert_eq!(stats.sessions_created, stats_before.sessions_created);
-        assert_eq!(stats.events_ok, stats_before.events_ok);
+        let stats = m.stats_v2();
+        assert_eq!(stats.sessions.created, stats_before.sessions.created);
+        assert_eq!(stats.events.ok, stats_before.events.ok);
         // The adopted session continues mid-workflow, and new creates do
         // not collide with the adopted id.
         let reply = m.dispatch(id, Event::Accept { index: 0 }).unwrap();
@@ -1450,8 +1462,10 @@ mod tests {
         assert_eq!(m.create("anchors", None, None).unwrap(), SessionId(2));
         // Closing removes the durable record.
         m.close(id).unwrap();
-        assert!(!dir.join("s-1.json").exists(), "closed sessions stay dead");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            store.handle.get("s-1").unwrap().is_none(),
+            "closed sessions stay dead"
+        );
     }
 
     #[test]
@@ -1463,7 +1477,7 @@ mod tests {
         let meta = persist::encode_meta(&ManagerMeta {
             next_id: 4,
             clock: 0,
-            stats: ServiceStats::default(),
+            stats: StatsV2::default(),
         });
         store.put("shard-1-of-2", &meta).unwrap();
         match SessionManager::with_store_sequenced(ServiceConfig::default(), Box::new(store), 1, 2)
@@ -1480,7 +1494,7 @@ mod tests {
         let meta = persist::encode_meta(&ManagerMeta {
             next_id: MAX_SESSION_ID + 2,
             clock: 0,
-            stats: ServiceStats::default(),
+            stats: StatsV2::default(),
         });
         store.put("shard-1-of-1", &meta).unwrap();
         match SessionManager::with_store(ServiceConfig::default(), Box::new(store)) {
@@ -1556,22 +1570,25 @@ mod tests {
     /// survives checkpoints until `recover` adopts it.
     #[test]
     fn checkpoint_preserves_foreign_records_awaiting_recover() {
-        let dir =
-            std::env::temp_dir().join(format!("webrobot-manager-handoff-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Box::new(crate::store::FileStore::open(&dir).unwrap());
-        let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
+        let store = SharedStore::new("handoff");
+        let mut m = SessionManager::with_store(ServiceConfig::default(), store.boxed()).unwrap();
         m.register_site("anchors", anchor_site(4), Value::Object(vec![]));
         m.create("anchors", None, None).unwrap();
-        // Another process hands a session off by writing into the dir.
-        std::fs::write(dir.join("s-7.json"), "{\"v\":1,\"kind\":\"session\"}").unwrap();
+        // Another writer hands a session off through the shared store.
+        store
+            .handle
+            .clone()
+            .put(
+                "s-7",
+                &parse_json("{\"v\":1,\"kind\":\"session\"}").unwrap(),
+            )
+            .unwrap();
         m.checkpoint().unwrap();
         assert!(
-            dir.join("s-7.json").exists(),
+            store.handle.get("s-7").unwrap().is_some(),
             "foreign record must survive the checkpoint"
         );
         assert_eq!(m.recover().unwrap(), 1, "and recover adopts it");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A hostile store key with an absurd session id is rejected as
@@ -1610,21 +1627,17 @@ mod tests {
 
     #[test]
     fn sub_millisecond_deadlines_persist_as_one_millisecond() {
-        let dir =
-            std::env::temp_dir().join(format!("webrobot-manager-deadline-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Box::new(crate::store::FileStore::open(&dir).unwrap());
-        let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
+        let store = SharedStore::new("deadline");
+        let mut m = SessionManager::with_store(ServiceConfig::default(), store.boxed()).unwrap();
         m.register_site("anchors", anchor_site(4), Value::Object(vec![]));
         m.create("anchors", None, Some(Duration::from_micros(500)))
             .unwrap();
         m.checkpoint().unwrap();
-        let raw = std::fs::read_to_string(dir.join("s-1.json")).unwrap();
+        let raw = store.handle.get("s-1").unwrap().unwrap().to_json();
         assert!(
             raw.contains("\"deadline_ms\":1"),
             "rounded up, never to a zero timeout: {raw}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1662,7 +1675,7 @@ mod tests {
         for raw in [
             "",
             "][",
-            r#"{"v": 9, "kind": "stats"}"#,
+            r#"{"v": 9, "kind": "metrics"}"#,
             r#"{"v": 1, "kind": "event", "session": "bogus", "event": {"type": "finish"}}"#,
             r#"{"v": 1, "kind": "close", "session": "s-77"}"#,
         ] {

@@ -5,8 +5,8 @@
 //! The format is versioned (`"v": 1`) and documented normatively in
 //! `PROTOCOL.md` § "Snapshot records". Compatibility rule: within v1,
 //! readers ignore unknown fields and default absent optional fields
-//! (`resynth` absent → legacy full-replay restore, `program` absent → no
-//! cached program, `deadline_ms` absent → the manager's template
+//! (`engine` absent → restore runs one full synthesis, `program` absent →
+//! no cached program, `deadline_ms` absent → the manager's template
 //! deadline); a record carrying any other `v` is rejected as corrupt, so
 //! a future v2 can change shape without silently mis-restoring.
 //!
@@ -24,7 +24,7 @@ use webrobot_interact::{EngineDigest, Item, Mode, SessionSnapshot};
 use webrobot_lang::{parse_program, Action, Program};
 
 use crate::protocol::{action_from_value, action_to_value};
-use crate::stats::ServiceStats;
+use crate::stats::{EventCounters, ResidencyCounters, SessionCounters, StatsV2};
 
 /// The snapshot-record format version this build reads and writes.
 pub const STORE_VERSION: i64 = 1;
@@ -52,12 +52,10 @@ pub struct SessionRecord {
     pub consecutive_accepts: usize,
     /// Automated actions executed at snapshot time.
     pub automated_steps: usize,
-    /// The delta-restore schedule (`None` → legacy full replay).
-    pub resynth: Option<Vec<usize>>,
     /// The cached last-generalizing program, if any.
     pub last_program: Option<Program>,
-    /// The synthesizer's engine digest (`None` → pre-digest record:
-    /// restore re-synthesizes at the schedule points).
+    /// The synthesizer's engine digest (`None` → a pre-digest record:
+    /// restore runs one full synthesis).
     pub engine: Option<EngineDigest>,
 }
 
@@ -95,12 +93,6 @@ pub fn encode_session(
         "automated_steps".to_string(),
         Value::Int(snap.automated_steps as i64),
     ));
-    if let Some(schedule) = &snap.resynth {
-        fields.push((
-            "resynth".to_string(),
-            Value::Array(schedule.iter().map(|&n| Value::Int(n as i64)).collect()),
-        ));
-    }
     if let Some(program) = &snap.last_program {
         fields.push(("program".to_string(), Value::str(program.to_string())));
     }
@@ -283,20 +275,6 @@ pub fn decode_session(raw: &Value) -> Result<SessionRecord, String> {
         None => None,
         Some(_) => Some(require_u64(raw, "deadline_ms")?),
     };
-    let resynth = match raw.field("resynth") {
-        None => None,
-        Some(v) => Some(
-            v.as_array()
-                .ok_or_else(|| "field 'resynth' must be an array".to_string())?
-                .iter()
-                .map(|n| {
-                    n.as_int()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| "resynth entries must be non-negative integers".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-    };
     let last_program = match raw.field("program") {
         None => None,
         Some(v) => {
@@ -308,20 +286,6 @@ pub fn decode_session(raw: &Value) -> Result<SessionRecord, String> {
     };
     let executed = actions_field(raw, "executed")?;
     let engine = engine_from_value(raw, executed.len())?;
-    if let Some(schedule) = &resynth {
-        // A schedule Session::restore could only partially follow (not
-        // strictly increasing from ≥ 1, or pointing past the history)
-        // would silently mis-restore; reject it as tampered instead.
-        let increasing = schedule.first().is_none_or(|&first| first >= 1)
-            && schedule.windows(2).all(|w| w[0] < w[1]);
-        let bounded = schedule.last().is_none_or(|&last| last <= executed.len());
-        if !increasing || !bounded {
-            return Err(format!(
-                "field 'resynth' must be strictly increasing within 1..={}",
-                executed.len()
-            ));
-        }
-    }
     Ok(SessionRecord {
         id: id.raw(),
         site: require_str(raw, "site")?,
@@ -332,7 +296,6 @@ pub fn decode_session(raw: &Value) -> Result<SessionRecord, String> {
         predictions: actions_field(raw, "predictions")?,
         consecutive_accepts: require_usize(raw, "consecutive_accepts")?,
         automated_steps: require_usize(raw, "automated_steps")?,
-        resynth,
         last_program,
         engine,
     })
@@ -347,42 +310,29 @@ pub struct ManagerMeta {
     pub next_id: u64,
     /// The logical LRU clock.
     pub clock: u64,
-    /// The counter part of [`ServiceStats`] (the live/evicted gauges are
-    /// recomputed from the slots).
-    pub stats: ServiceStats,
+    /// The counter part of [`StatsV2`] (the live/evicted gauges are
+    /// recomputed from the slots and not persisted).
+    pub stats: StatsV2,
 }
 
 /// Serializes manager metadata into its store record.
 pub fn encode_meta(meta: &ManagerMeta) -> Value {
+    let count = |n: u64| Value::Int(n as i64);
+    let stats = &meta.stats;
     Value::object([
         ("v".to_string(), Value::Int(STORE_VERSION)),
         ("kind".to_string(), Value::str("meta")),
-        ("next_id".to_string(), Value::Int(meta.next_id as i64)),
-        ("clock".to_string(), Value::Int(meta.clock as i64)),
+        ("next_id".to_string(), count(meta.next_id)),
+        ("clock".to_string(), count(meta.clock)),
         (
             "sessions_created".to_string(),
-            Value::Int(meta.stats.sessions_created as i64),
+            count(stats.sessions.created),
         ),
-        (
-            "sessions_closed".to_string(),
-            Value::Int(meta.stats.sessions_closed as i64),
-        ),
-        (
-            "events_ok".to_string(),
-            Value::Int(meta.stats.events_ok as i64),
-        ),
-        (
-            "events_rejected".to_string(),
-            Value::Int(meta.stats.events_rejected as i64),
-        ),
-        (
-            "evictions".to_string(),
-            Value::Int(meta.stats.evictions as i64),
-        ),
-        (
-            "restores".to_string(),
-            Value::Int(meta.stats.restores as i64),
-        ),
+        ("sessions_closed".to_string(), count(stats.sessions.closed)),
+        ("events_ok".to_string(), count(stats.events.ok)),
+        ("events_rejected".to_string(), count(stats.events.rejected)),
+        ("evictions".to_string(), count(stats.residency.evictions)),
+        ("restores".to_string(), count(stats.residency.restores)),
     ])
 }
 
@@ -395,15 +345,21 @@ pub fn decode_meta(raw: &Value) -> Result<ManagerMeta, String> {
     Ok(ManagerMeta {
         next_id: require_u64(raw, "next_id")?,
         clock: require_u64(raw, "clock")?,
-        stats: ServiceStats {
-            sessions_created: require_u64(raw, "sessions_created")?,
-            sessions_closed: require_u64(raw, "sessions_closed")?,
-            live_sessions: 0,
-            evicted_sessions: 0,
-            events_ok: require_u64(raw, "events_ok")?,
-            events_rejected: require_u64(raw, "events_rejected")?,
-            evictions: require_u64(raw, "evictions")?,
-            restores: require_u64(raw, "restores")?,
+        stats: StatsV2 {
+            sessions: SessionCounters {
+                created: require_u64(raw, "sessions_created")?,
+                closed: require_u64(raw, "sessions_closed")?,
+                live: 0,
+                evicted: 0,
+            },
+            events: EventCounters {
+                ok: require_u64(raw, "events_ok")?,
+                rejected: require_u64(raw, "events_rejected")?,
+            },
+            residency: ResidencyCounters {
+                evictions: require_u64(raw, "evictions")?,
+                restores: require_u64(raw, "restores")?,
+            },
         },
     })
 }
@@ -441,7 +397,7 @@ mod tests {
     fn session_records_round_trip() {
         let snap = sample_snapshot();
         let record = encode_session(7, "codec", Some(250), &snap);
-        // Survives a print/parse cycle (what a FileStore does).
+        // Survives a print/parse cycle (what every store does).
         let reparsed = parse_json(&record.to_json()).unwrap();
         let decoded = decode_session(&reparsed).unwrap();
         assert_eq!(decoded.id, 7);
@@ -453,7 +409,6 @@ mod tests {
         assert_eq!(decoded.predictions, snap.predictions);
         assert_eq!(decoded.consecutive_accepts, snap.consecutive_accepts);
         assert_eq!(decoded.automated_steps, snap.automated_steps);
-        assert_eq!(decoded.resynth, snap.resynth);
         assert_eq!(decoded.last_program, snap.last_program);
         assert_eq!(decoded.engine, snap.engine);
         assert!(decoded.engine.is_some(), "snapshots carry a digest");
@@ -463,7 +418,7 @@ mod tests {
     /// are typed decode errors (shape and range checks) rather than
     /// silent mis-restores.
     #[test]
-    fn engine_digests_round_trip_and_validate() {
+    fn digests_round_trip_and_validate() {
         let snap = sample_snapshot();
         let record = encode_session(4, "codec", None, &snap);
         let json = record.to_json();
@@ -496,21 +451,23 @@ mod tests {
         assert!(err.contains("slice partition"), "{err}");
 
         // A record without the field decodes to no digest (pre-digest
-        // compatibility), and the digest is stripped alongside the
-        // schedule.
-        let stripped = encode_session(4, "codec", None, &snap.clone().without_schedule());
+        // compatibility).
+        let mut stripped = snap.clone();
+        stripped.engine = None;
+        let stripped = encode_session(4, "codec", None, &stripped);
         assert_eq!(decode_session(&stripped).unwrap().engine, None);
     }
 
     #[test]
     fn optional_fields_default_per_the_compat_rule() {
         let snap = sample_snapshot();
-        let mut stripped = snap.clone().without_schedule();
+        let mut stripped = snap.clone();
+        stripped.engine = None;
         stripped.last_program = None;
         let record = encode_session(1, "codec", None, &stripped);
         let decoded = decode_session(&record).unwrap();
         assert_eq!(decoded.deadline_ms, None);
-        assert_eq!(decoded.resynth, None, "absent schedule → full replay");
+        assert_eq!(decoded.engine, None, "absent digest → one full synthesis");
         assert_eq!(decoded.last_program, None);
         // Unknown fields are ignored (forward-compatible within v1).
         let mut with_extra = record.to_json();
@@ -541,19 +498,6 @@ mod tests {
                 "non-negative",
             ),
             (good.replace("scrape_text", "teleport"), "bad action"),
-            // A schedule restore could only partially follow is tampering.
-            (
-                good.replace("\"resynth\":[1,2]", "\"resynth\":[2,1]"),
-                "strictly increasing",
-            ),
-            (
-                good.replace("\"resynth\":[1,2]", "\"resynth\":[1,99]"),
-                "strictly increasing",
-            ),
-            (
-                good.replace("\"resynth\":[1,2]", "\"resynth\":[0,1]"),
-                "strictly increasing",
-            ),
         ] {
             let raw = parse_json(&mangle).unwrap();
             let err = decode_session(&raw).unwrap_err();
@@ -566,18 +510,30 @@ mod tests {
         let meta = ManagerMeta {
             next_id: 9,
             clock: 140,
-            stats: ServiceStats {
-                sessions_created: 8,
-                sessions_closed: 3,
-                live_sessions: 0,
-                evicted_sessions: 0,
-                events_ok: 77,
-                events_rejected: 4,
-                evictions: 12,
-                restores: 11,
+            stats: StatsV2 {
+                sessions: SessionCounters {
+                    created: 8,
+                    closed: 3,
+                    live: 0,
+                    evicted: 0,
+                },
+                events: EventCounters {
+                    ok: 77,
+                    rejected: 4,
+                },
+                residency: ResidencyCounters {
+                    evictions: 12,
+                    restores: 11,
+                },
             },
         };
         let record = encode_meta(&meta);
+        // The record layout is pinned: stores written by earlier builds
+        // must keep reopening.
+        assert_eq!(
+            record.to_json(),
+            r#"{"v":1,"kind":"meta","next_id":9,"clock":140,"sessions_created":8,"sessions_closed":3,"events_ok":77,"events_rejected":4,"evictions":12,"restores":11}"#
+        );
         let reparsed = parse_json(&record.to_json()).unwrap();
         assert_eq!(decode_meta(&reparsed).unwrap(), meta);
         assert!(decode_meta(&parse_json("{\"v\":1,\"kind\":\"session\"}").unwrap()).is_err());

@@ -23,7 +23,7 @@ use webrobot_metrics::{
     bucket_bound, HistogramSnapshot, MetricsSnapshot, RequestKind, ShardGaugesSnapshot,
 };
 
-use crate::stats::{ServiceStats, StatsV2};
+use crate::stats::StatsV2;
 
 /// The protocol version this build speaks. Requests must carry
 /// `{"v": 1}`; anything else is rejected with `unsupported_version`.
@@ -90,11 +90,9 @@ pub enum Request {
         /// The session id.
         session: String,
     },
-    /// Fetch aggregate service statistics.
-    Stats,
     /// Fetch the full observability snapshot: versioned service counters
     /// plus latency histograms, per-kind request counters and per-shard
-    /// gauges. Supersedes `stats` for new clients.
+    /// gauges.
     Metrics,
     /// Finish and forget a session.
     Close {
@@ -151,7 +149,6 @@ impl Request {
             "outputs" => Ok(Request::Outputs {
                 session: require_str(&value, "session")?.to_string(),
             }),
-            "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "close" => Ok(Request::Close {
                 session: require_str(&value, "session")?.to_string(),
@@ -192,7 +189,6 @@ impl Request {
                 fields.push(("kind".to_string(), Value::str("outputs")));
                 fields.push(("session".to_string(), Value::str(session.clone())));
             }
-            Request::Stats => fields.push(("kind".to_string(), Value::str("stats"))),
             Request::Metrics => fields.push(("kind".to_string(), Value::str("metrics"))),
             Request::Close { session } => {
                 fields.push(("kind".to_string(), Value::str("close")));
@@ -236,8 +232,6 @@ pub enum Response {
         /// Everything scraped so far, in order.
         outputs: Vec<Output>,
     },
-    /// Aggregate service statistics (legacy flat shape).
-    Stats(ServiceStats),
     /// The full observability snapshot: versioned grouped counters plus
     /// latency histograms, per-kind request counters and per-shard gauges.
     Metrics {
@@ -313,10 +307,6 @@ impl Response {
                     "outputs".to_string(),
                     Value::Array(outputs.iter().map(output_to_value).collect()),
                 ));
-            }
-            Response::Stats(stats) => {
-                ok(&mut fields, "stats");
-                fields.push(("stats".to_string(), stats_to_value(stats)));
             }
             Response::Metrics { stats, metrics } => {
                 ok(&mut fields, "metrics");
@@ -524,34 +514,6 @@ fn output_to_value(output: &Output) -> Value {
     ])
 }
 
-fn stats_to_value(stats: &ServiceStats) -> Value {
-    Value::object([
-        (
-            "sessions_created".to_string(),
-            Value::Int(stats.sessions_created as i64),
-        ),
-        (
-            "sessions_closed".to_string(),
-            Value::Int(stats.sessions_closed as i64),
-        ),
-        (
-            "live_sessions".to_string(),
-            Value::Int(stats.live_sessions as i64),
-        ),
-        (
-            "evicted_sessions".to_string(),
-            Value::Int(stats.evicted_sessions as i64),
-        ),
-        ("events_ok".to_string(), Value::Int(stats.events_ok as i64)),
-        (
-            "events_rejected".to_string(),
-            Value::Int(stats.events_rejected as i64),
-        ),
-        ("evictions".to_string(), Value::Int(stats.evictions as i64)),
-        ("restores".to_string(), Value::Int(stats.restores as i64)),
-    ])
-}
-
 fn stats_v2_to_value(stats: &StatsV2) -> Value {
     Value::object([
         ("v".to_string(), Value::Int(2)),
@@ -733,7 +695,6 @@ pub(crate) fn request_kind(request: &Request) -> RequestKind {
         Request::Create { .. } => RequestKind::Create,
         Request::Event { .. } => RequestKind::Event,
         Request::Outputs { .. } => RequestKind::Outputs,
-        Request::Stats => RequestKind::Stats,
         Request::Metrics => RequestKind::Metrics,
         Request::Close { .. } => RequestKind::Close,
         Request::Checkpoint => RequestKind::Checkpoint,
@@ -820,7 +781,6 @@ mod tests {
             Request::Outputs {
                 session: "s-2".to_string(),
             },
-            Request::Stats,
             Request::Metrics,
             Request::Close {
                 session: "s-1".to_string(),
@@ -835,9 +795,9 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let err = Request::from_json(r#"{"v": 2, "kind": "stats"}"#).unwrap_err();
+        let err = Request::from_json(r#"{"v": 2, "kind": "metrics"}"#).unwrap_err();
         assert_eq!(err.code(), "unsupported_version");
-        let err = Request::from_json(r#"{"kind": "stats"}"#).unwrap_err();
+        let err = Request::from_json(r#"{"kind": "metrics"}"#).unwrap_err();
         assert_eq!(err.code(), "unsupported_version");
     }
 
@@ -847,6 +807,8 @@ mod tests {
             "not json",
             r#"{"v": 1}"#,
             r#"{"v": 1, "kind": "teleport"}"#,
+            // The retired flat-stats request is an unknown kind.
+            r#"{"v": 1, "kind": "stats"}"#,
             r#"{"v": 1, "kind": "event", "session": "s-1"}"#,
             r#"{"v": 1, "kind": "event", "session": "s-1", "event": {"type": "warp"}}"#,
             r#"{"v": 1, "kind": "create"}"#,

@@ -23,7 +23,6 @@
 //! with exactly the result an unsliced run would produce, so a client
 //! that drives its session one request at a time still observes
 //! *byte-identical* wire responses to an unsharded [`SessionManager`].
-//! `quantum: None` restores the legacy run-to-completion behavior.
 //!
 //! **Backpressure.** Each shard admits at most
 //! [`ServiceConfig::max_queued_per_shard`] requests in flight; beyond
@@ -62,7 +61,7 @@ use webrobot_metrics::{Metrics, RequestKind};
 use crate::config::ServiceConfig;
 use crate::manager::{error_response, ServiceError, SessionManager};
 use crate::protocol::{self, Request, Response};
-use crate::stats::{ServiceStats, StatsV2};
+use crate::stats::StatsV2;
 use crate::store::{SnapshotStore, StoreError};
 
 /// One unit of work sent to a shard thread.
@@ -223,7 +222,7 @@ impl ShardedManager {
         // The create router resumes where the previous process stopped:
         // its cursor is exactly the number of successful creates ever,
         // which the adopted metadata carries as `sessions_created`.
-        let created: u64 = managers.iter().map(|m| m.stats().sessions_created).sum();
+        let created: u64 = managers.iter().map(|m| m.stats_v2().sessions.created).sum();
         Ok(ShardedManager::spawn(managers, created, &cfg))
     }
 
@@ -338,7 +337,6 @@ impl ShardedManager {
                 // syntactically invalid id.
                 Err(()) => error_response(&ServiceError::UnknownSession(session.clone())),
             },
-            Request::Stats => Response::Stats(self.stats()),
             Request::Metrics => self.metrics_response(),
             // Durability requests fan out to every shard (each owns a
             // disjoint slice of the sessions and its own store handle)
@@ -362,21 +360,16 @@ impl ShardedManager {
         .to_json()
     }
 
-    /// Aggregate statistics in the flat legacy shape, summed field-wise
-    /// over all shards (pinned against the unsharded manager by
-    /// `tests/sharded.rs`). Shards that are down (or over their admission
-    /// limit) are skipped.
-    pub fn stats(&self) -> ServiceStats {
-        self.stats_v2().legacy()
-    }
-
-    /// Aggregate statistics in the versioned grouped shape. Each counter
-    /// counts disjoint per-shard events, so the field-wise sum is exact.
+    /// Aggregate statistics: the `stats` group of the `metrics` fan-out,
+    /// summed field-wise over all shards (pinned against the unsharded
+    /// manager by `tests/sharded.rs`). Each counter counts disjoint
+    /// per-shard events, so the sum is exact. Shards that are down (or
+    /// over their admission limit) are skipped.
     pub fn stats_v2(&self) -> StatsV2 {
         let mut total = StatsV2::default();
-        for reply in self.fan_out(&Request::Stats) {
-            if let Some(Response::Stats(stats)) = reply {
-                total.absorb(&StatsV2::from_legacy(&stats));
+        for reply in self.fan_out(&Request::Metrics) {
+            if let Some(Response::Metrics { stats, .. }) = reply {
+                total.absorb(&stats);
             }
         }
         total
@@ -393,12 +386,7 @@ impl ShardedManager {
     /// overwrites the queue-depth gauges with the front end's in-flight
     /// counts and snapshots the shared registry.
     fn metrics_response(&self) -> Response {
-        let mut stats = StatsV2::default();
-        for reply in self.fan_out(&Request::Metrics) {
-            if let Some(Response::Metrics { stats: shard, .. }) = reply {
-                stats.absorb(&shard);
-            }
-        }
+        let stats = self.stats_v2();
         for (shard, handle) in self.shards.iter().enumerate() {
             self.metrics
                 .shard(shard)
@@ -570,8 +558,8 @@ impl Drop for ShardedManager {
 /// Per-worker scheduling context, shared with the front-end handle.
 struct ShardCtx {
     index: usize,
-    /// Synthesis budget per scheduling turn; `None` = run to completion.
-    quantum: Option<Duration>,
+    /// Synthesis budget per scheduling turn.
+    quantum: Duration,
     inflight: Arc<AtomicUsize>,
     down: Arc<AtomicBool>,
     /// Shared observability registry; the scheduler counts quanta and
@@ -579,7 +567,8 @@ struct ShardCtx {
     metrics: Arc<Metrics>,
 }
 
-/// Far past any real synthesis timeout: "run this step to completion".
+/// Far past any real synthesis timeout: "run this step to completion" —
+/// the budget of the drain after the front end hangs up.
 const RUN_TO_COMPLETION: Duration = Duration::from_secs(86_400);
 
 /// One session's run queue on its shard.
@@ -641,8 +630,8 @@ fn shard_loop(manager: SessionManager, jobs: Receiver<Job>, ctx: ShardCtx) {
 ///
 /// * Per-session requests execute strictly in arrival order; a parked
 ///   session's next request waits for the parked step to finish.
-/// * `create`/`stats`/`register` have no session state in flight and run
-///   immediately on ingest, between quanta.
+/// * `create`/`metrics`/`register` have no session state in flight and
+///   run immediately on ingest, between quanta.
 /// * `checkpoint`/`recover` are *barriers*: every parked session's
 ///   in-flight step is first driven to completion (a snapshot must never
 ///   observe a half-applied step), then the durability request runs.
@@ -678,13 +667,14 @@ fn serve(manager: &mut SessionManager, jobs: &Receiver<Job>, ctx: &ShardCtx) {
 
         if let Some((request, reply)) = barriers.pop_front() {
             // Finish every parked step before snapshotting, so the
-            // barrier never observes a session mid-quantum.
+            // barrier never observes a session mid-quantum: a step that
+            // parks again goes back into `ready` and is found again.
             while let Some(pos) = ready
                 .iter()
                 .position(|key| queues.get(key).is_some_and(|q| q.parked.is_some()))
             {
                 let key = ready.remove(pos).expect("position is in range");
-                run_session(manager, ctx, &mut queues, &mut ready, key, None);
+                run_session(manager, ctx, &mut queues, &mut ready, key, ctx.quantum);
             }
             let response = manager.handle(request);
             // Release the admission slot *before* replying: a caller that
@@ -697,7 +687,11 @@ fn serve(manager: &mut SessionManager, jobs: &Receiver<Job>, ctx: &ShardCtx) {
         if let Some(key) = ready.pop_front() {
             // Once the front end is gone nobody benefits from slicing:
             // drain the backlog at full speed.
-            let budget = if connected { ctx.quantum } else { None };
+            let budget = if connected {
+                ctx.quantum
+            } else {
+                RUN_TO_COMPLETION
+            };
             run_session(manager, ctx, &mut queues, &mut ready, key, budget);
         }
     }
@@ -735,8 +729,7 @@ fn ingest(
                 queue.jobs.push_back((request, reply));
             }
             Request::Checkpoint | Request::Recover => barriers.push_back((request, reply)),
-            // Create/Stats/Metrics touch no in-flight session state:
-            // answer now.
+            // Create/Metrics touch no in-flight session state: answer now.
             other => {
                 // A metrics scrape also publishes this shard's scheduler
                 // gauge (how many sessions sit parked mid-quantum), which
@@ -757,15 +750,15 @@ fn ingest(
 }
 
 /// Gives session `key` one turn: resume its parked step or start its next
-/// queued request, spending at most `budget` on synthesis (`None` = run
-/// to completion). Requeues the session while it still has work.
+/// queued request, spending at most `budget` on synthesis. Requeues the
+/// session while it still has work.
 fn run_session(
     manager: &mut SessionManager,
     ctx: &ShardCtx,
     queues: &mut BTreeMap<String, SessionQueue>,
     ready: &mut VecDeque<String>,
     key: String,
-    budget: Option<Duration>,
+    budget: Duration,
 ) {
     let Some(queue) = queues.get_mut(&key) else {
         return;
@@ -780,9 +773,7 @@ fn run_session(
         }
     } else if let Some((request, reply)) = queue.jobs.pop_front() {
         match request {
-            // Slice only when configured to: `quantum: None` keeps the
-            // legacy run-to-completion dispatch byte for byte.
-            Request::Event { session, event } if ctx.quantum.is_some() => {
+            Request::Event { session, event } => {
                 match step_event(manager, ctx, &session, Some(event), budget) {
                     Some(response) => Some((reply, response)),
                     None => {
@@ -809,26 +800,20 @@ fn run_session(
 }
 
 /// Drives one event step: starts it (when `event` is given) or resumes
-/// the session's parked step, spending at most `budget` per slice.
-/// `budget: None` runs the step to completion. Returns `None` iff the
-/// step parked again.
+/// the session's parked step, spending at most `budget` on synthesis.
+/// Returns `None` iff the step parked again.
 fn step_event(
     manager: &mut SessionManager,
     ctx: &ShardCtx,
     session: &str,
     event: Option<Event>,
-    budget: Option<Duration>,
+    budget: Duration,
 ) -> Option<Response> {
-    let slice = budget.unwrap_or(RUN_TO_COMPLETION);
     ctx.metrics.record_quantum();
-    let mut response = match event {
-        Some(event) => manager.handle_event_quantum(session, event, slice),
-        None => manager.continue_event_quantum(session, slice),
+    let response = match event {
+        Some(event) => manager.handle_event_quantum(session, event, budget),
+        None => manager.continue_event_quantum(session, budget),
     };
-    while response.is_none() && budget.is_none() {
-        ctx.metrics.record_quantum();
-        response = manager.continue_event_quantum(session, slice);
-    }
     if response.is_none() {
         ctx.metrics.record_park();
     }
@@ -881,7 +866,7 @@ mod tests {
         for want in 1..=9 {
             assert_eq!(create(&m), format!("s-{want}"));
         }
-        assert_eq!(m.stats().sessions_created, 9);
+        assert_eq!(m.stats_v2().sessions.created, 9);
     }
 
     #[test]
@@ -916,9 +901,9 @@ mod tests {
                 );
             }
         }
-        let stats = m.stats();
-        assert_eq!(stats.events_ok, 16);
-        assert_eq!(stats.live_sessions, 8);
+        let stats = m.stats_v2();
+        assert_eq!(stats.events.ok, 16);
+        assert_eq!(stats.sessions.live, 8);
     }
 
     #[test]
@@ -951,7 +936,7 @@ mod tests {
             session: "s-2".to_string(),
         });
         assert_eq!(create(&m), "s-4");
-        assert_eq!(m.stats().sessions_created, 3);
+        assert_eq!(m.stats_v2().sessions.created, 3);
     }
 
     #[test]
@@ -1003,7 +988,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m.stats().events_ok, 16);
+        assert_eq!(m.stats_v2().events.ok, 16);
     }
 
     #[test]
@@ -1016,55 +1001,47 @@ mod tests {
     #[test]
     fn tiny_quanta_still_answer_every_request_exactly() {
         // A zero quantum forces a park/resume cycle on (almost) every
-        // synthesis; responses must still match a run-to-completion
-        // manager byte for byte under sequential driving.
+        // synthesis; responses must still match an unsharded manager,
+        // which never slices, byte for byte under sequential driving.
         let sliced = ShardedManager::new(
             ServiceConfig {
-                quantum: Some(Duration::ZERO),
+                quantum: Duration::ZERO,
                 ..ServiceConfig::default()
             },
             2,
         );
         sliced.register_site("anchors", anchor_site(6), Value::Object(vec![]));
-        let unsliced = ShardedManager::new(
-            ServiceConfig {
-                quantum: None,
-                ..ServiceConfig::default()
-            },
-            2,
-        );
+        let mut unsliced = SessionManager::new(ServiceConfig::default());
         unsliced.register_site("anchors", anchor_site(6), Value::Object(vec![]));
 
-        for m in [&sliced, &unsliced] {
-            create(m);
-            create(m);
-        }
-        let mut replies = Vec::new();
-        for m in [&sliced, &unsliced] {
-            let mut log = Vec::new();
-            for i in 1..=3 {
-                for id in ["s-1", "s-2"] {
-                    log.push(
-                        m.handle(Request::Event {
-                            session: id.to_string(),
-                            event: scrape(i),
-                        })
-                        .to_json(),
-                    );
-                }
+        let create = Request::Create {
+            site: "anchors".to_string(),
+            input: None,
+            deadline_ms: None,
+        };
+        let mut requests = vec![create.clone(), create];
+        for i in 1..=3 {
+            for id in ["s-1", "s-2"] {
+                requests.push(Request::Event {
+                    session: id.to_string(),
+                    event: scrape(i),
+                });
             }
-            log.push(
-                m.handle(Request::Outputs {
-                    session: "s-1".to_string(),
-                })
-                .to_json(),
-            );
-            log.push(m.handle(Request::Stats).to_json());
-            replies.push(log);
         }
-        assert_eq!(
-            replies[0], replies[1],
-            "quantum slicing changed wire responses"
+        requests.push(Request::Outputs {
+            session: "s-1".to_string(),
+        });
+        for request in requests {
+            assert_eq!(
+                sliced.handle(request.clone()).to_json(),
+                unsliced.handle(request).to_json(),
+                "quantum slicing changed wire responses"
+            );
+        }
+        assert_eq!(sliced.stats_v2(), unsliced.stats_v2());
+        assert!(
+            sliced.metrics().snapshot().parks > 0,
+            "zero-budget quanta actually sliced a search"
         );
     }
 

@@ -1,13 +1,6 @@
 //! Aggregate service statistics: the versioned [`StatsV2`] shape the
-//! manager maintains internally and the `metrics` wire response exposes,
-//! plus the flat legacy [`ServiceStats`] blob the original `stats`
-//! response (and the persisted metadata record) is pinned to.
-//!
-//! [`StatsV2`] is the source of truth: the manager bumps its grouped
-//! counters directly, and every legacy surface is derived through
-//! [`StatsV2::legacy`] / [`StatsV2::from_legacy`] (lossless in both
-//! directions, which is what keeps the old `{"kind":"stats"}` response and
-//! the on-disk metadata format byte-identical to previous releases).
+//! manager maintains, the `metrics` wire response exposes as its `stats`
+//! group, and the persisted metadata record carries.
 
 /// Session lifecycle counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,9 +35,8 @@ pub struct ResidencyCounters {
     pub restores: u64,
 }
 
-/// Versioned, grouped service statistics — the v2 shape shared by the
-/// `metrics` wire response, the manager's internal accounting, and
-/// [`ServiceStats::absorb`].
+/// Versioned, grouped service statistics — the `stats` group of the
+/// `metrics` wire response and the manager's internal accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsV2 {
     /// Session lifecycle counters.
@@ -69,119 +61,36 @@ impl StatsV2 {
         self.residency.evictions += other.residency.evictions;
         self.residency.restores += other.residency.restores;
     }
-
-    /// Projects into the flat legacy shape (lossless).
-    pub fn legacy(&self) -> ServiceStats {
-        ServiceStats {
-            sessions_created: self.sessions.created,
-            sessions_closed: self.sessions.closed,
-            live_sessions: self.sessions.live,
-            evicted_sessions: self.sessions.evicted,
-            events_ok: self.events.ok,
-            events_rejected: self.events.rejected,
-            evictions: self.residency.evictions,
-            restores: self.residency.restores,
-        }
-    }
-
-    /// Lifts the flat legacy shape into v2 (lossless) — how counters
-    /// persisted in the legacy metadata record are re-adopted.
-    pub fn from_legacy(legacy: &ServiceStats) -> StatsV2 {
-        StatsV2 {
-            sessions: SessionCounters {
-                created: legacy.sessions_created,
-                closed: legacy.sessions_closed,
-                live: legacy.live_sessions,
-                evicted: legacy.evicted_sessions,
-            },
-            events: EventCounters {
-                ok: legacy.events_ok,
-                rejected: legacy.events_rejected,
-            },
-            residency: ResidencyCounters {
-                evictions: legacy.evictions,
-                restores: legacy.restores,
-            },
-        }
-    }
-}
-
-/// Aggregate service statistics in the flat legacy shape (the wire
-/// protocol's `stats` reply and the persisted metadata record).
-///
-/// New code should read [`StatsV2`] (via `SessionManager::stats_v2`, the
-/// sharded equivalent, or the `{"kind":"metrics"}` wire request); this
-/// shape is kept for the byte-pinned legacy `{"kind":"stats"}` response
-/// and the on-disk metadata format, and converts losslessly both ways.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Sessions ever created.
-    pub sessions_created: u64,
-    /// Sessions closed (finished and forgotten).
-    pub sessions_closed: u64,
-    /// Sessions currently live (browser + synthesizer in memory).
-    pub live_sessions: u64,
-    /// Sessions currently evicted to snapshots.
-    pub evicted_sessions: u64,
-    /// Events dispatched successfully.
-    pub events_ok: u64,
-    /// Events rejected with a typed error.
-    pub events_rejected: u64,
-    /// Live→snapshot evictions performed.
-    pub evictions: u64,
-    /// Snapshot→live restorations performed.
-    pub restores: u64,
-}
-
-impl ServiceStats {
-    /// Field-wise sum, delegated through the v2 shape so both
-    /// representations aggregate by the same rule.
-    pub fn absorb(&mut self, other: &ServiceStats) {
-        let mut v2 = StatsV2::from_legacy(self);
-        v2.absorb(&StatsV2::from_legacy(other));
-        *self = v2.legacy();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> StatsV2 {
+    /// A sample with every counter distinct, scaled by `k`.
+    fn sample(k: u64) -> StatsV2 {
         StatsV2 {
             sessions: SessionCounters {
-                created: 5,
-                closed: 2,
-                live: 2,
-                evicted: 1,
+                created: 5 * k,
+                closed: 2 * k,
+                live: 7 * k,
+                evicted: k,
             },
             events: EventCounters {
-                ok: 40,
-                rejected: 3,
+                ok: 40 * k,
+                rejected: 3 * k,
             },
             residency: ResidencyCounters {
-                evictions: 4,
-                restores: 3,
+                evictions: 4 * k,
+                restores: 6 * k,
             },
         }
     }
 
     #[test]
-    fn legacy_round_trips_losslessly() {
-        let v2 = sample();
-        assert_eq!(StatsV2::from_legacy(&v2.legacy()), v2);
-        let legacy = v2.legacy();
-        assert_eq!(StatsV2::from_legacy(&legacy).legacy(), legacy);
-    }
-
-    #[test]
-    fn absorb_agrees_between_shapes() {
-        let mut v2 = sample();
-        v2.absorb(&sample());
-        let mut legacy = sample().legacy();
-        legacy.absorb(&sample().legacy());
-        assert_eq!(v2.legacy(), legacy);
-        assert_eq!(v2.sessions.created, 10);
-        assert_eq!(v2.events.ok, 80);
+    fn absorb_sums_every_field() {
+        let mut total = sample(1);
+        total.absorb(&sample(2));
+        assert_eq!(total, sample(3));
     }
 }

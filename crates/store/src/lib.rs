@@ -9,19 +9,19 @@
 //! survives a process restart (see `PROTOCOL.md` § Durability and
 //! `tests/persistence.rs`).
 //!
-//! Three implementations ship:
+//! Two implementations ship:
 //!
-//! - [`MemoryStore`] — an in-process map, for tests and for deployments
-//!   that want checkpoint semantics without a filesystem;
-//! - [`FileStore`] — one JSON file per record in a directory, written
-//!   atomically (write-temp-then-rename); the compat backend;
 //! - [`SegmentStore`] — the log-structured store: an append-only segment
 //!   log with length+checksum framing, **group commit** (batched fsync),
 //!   a manifest of live segments, and compaction of mostly-dead segments.
-//!   Opening a `FileStore` directory migrates it in place.
+//!   Opening a directory of `<key>.json` record files (the layout of the
+//!   one-file-per-record store earlier releases shipped) imports them in
+//!   place;
+//! - [`MemoryStore`] — an in-process map, for tests and for deployments
+//!   that want checkpoint semantics without a filesystem.
 //!
-//! All layouts are **shard-count-stable**: records are keyed by session
-//! id only, so the same directory serves a `SessionManager` or a
+//! The layout is **shard-count-stable**: records are keyed by session id
+//! only, so the same directory serves a `SessionManager` or a
 //! `ShardedManager` at any shard count, each shard adopting exactly the
 //! ids it owns.
 //!
@@ -33,9 +33,6 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::PathBuf;
 
 use webrobot_data::{parse_json, Value};
 
@@ -163,8 +160,8 @@ pub trait SnapshotStore: fmt::Debug + Send + Sync {
 
     /// Makes every write accepted so far durable.
     ///
-    /// Stores whose `put` is already durable ([`MemoryStore`],
-    /// [`FileStore`]) use this default no-op; a group-committing store
+    /// Stores whose `put` is already as durable as they get
+    /// ([`MemoryStore`]) use this default no-op; a group-committing store
     /// ([`SegmentStore`]) forces its pending batch to disk. The manager
     /// calls this at the end of every `checkpoint`, so "checkpoint
     /// replied ok" always means "on disk".
@@ -185,9 +182,10 @@ pub trait SnapshotStore: fmt::Debug + Send + Sync {
     }
 }
 
-/// Store keys are embedded in file names, so restrict them to a safe
-/// alphabet (no separators, no leading dot — rules out path traversal and
-/// hidden files by construction).
+/// Store keys name `<key>.json` files in the directory layout a
+/// [`SegmentStore`] imports, so restrict them to a safe alphabet (no
+/// separators, no leading dot — rules out path traversal and hidden files
+/// by construction).
 fn check_key(key: &str) -> Result<(), StoreError> {
     let valid = !key.is_empty()
         && !key.starts_with('.')
@@ -204,8 +202,8 @@ fn check_key(key: &str) -> Result<(), StoreError> {
 /// An in-process [`SnapshotStore`]: records live in a map for the life of
 /// the process.
 ///
-/// Records are kept in their serialized form (exactly what a
-/// [`FileStore`] would write to disk), so the two implementations share
+/// Records are kept in their serialized form (exactly the bytes a
+/// [`SegmentStore`] frames on disk), so the two implementations share
 /// byte-level behavior — including the ability to hold a corrupt record,
 /// which [`MemoryStore::insert_raw`] exists to inject for tests.
 #[derive(Debug, Default)]
@@ -231,9 +229,9 @@ impl MemoryStore {
     }
 
     /// Inserts a raw serialized record verbatim — the moral equivalent of
-    /// editing a [`FileStore`] file by hand. Exists so tests can prove
-    /// that tampered records surface as typed [`StoreError::Corrupt`]
-    /// failures rather than panics.
+    /// editing a stored record by hand. Exists so tests can prove that
+    /// tampered records surface as typed [`StoreError::Corrupt`] failures
+    /// rather than panics.
     pub fn insert_raw(&mut self, key: impl Into<String>, raw: impl Into<String>) {
         self.records.insert(key.into(), raw.into());
     }
@@ -266,139 +264,6 @@ impl SnapshotStore for MemoryStore {
 
     fn keys(&self) -> Result<Vec<String>, StoreError> {
         Ok(self.records.keys().cloned().collect())
-    }
-
-    fn io_stats(&self) -> StoreIoStats {
-        self.io
-    }
-}
-
-/// A directory-backed [`SnapshotStore`]: one `<key>.json` file per
-/// record.
-///
-/// Writes go to a `.tmp` sibling first and are renamed into place, so a
-/// crash mid-write leaves the previous record intact instead of a
-/// truncated one. The layout carries no shard topology: reopening the
-/// same directory with a different shard count redistributes sessions by
-/// id alone (see the module docs).
-#[derive(Debug)]
-pub struct FileStore {
-    dir: PathBuf,
-    io: StoreIoStats,
-}
-
-impl FileStore {
-    /// Opens (creating if necessary) the store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the directory cannot be created.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<FileStore, StoreError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)
-            .map_err(|e| StoreError::io(format!("create '{}': {e}", dir.display())))?;
-        // Sweep temp files orphaned by a crash between write and rename,
-        // so a crash-looping process cannot grow the directory
-        // unboundedly. Only *stale* temp files are touched: an in-flight
-        // `put` by another process sharing the directory (the `recover`
-        // hand-off scenario) holds its temp for milliseconds, so an
-        // age gate keeps the sweep from racing a live writer's rename.
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                // Temp names end ".json.tmp<pid>"; a *record* for a key
-                // that merely contains that substring (keys may contain
-                // dots) still ends ".json" and must never be swept.
-                let is_tmp = entry
-                    .file_name()
-                    .to_str()
-                    .is_some_and(|name| name.contains(".json.tmp") && !name.ends_with(".json"));
-                let stale = entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age.as_secs() >= 60);
-                if is_tmp && stale {
-                    fs::remove_file(entry.path()).ok();
-                }
-            }
-        }
-        Ok(FileStore {
-            dir,
-            io: StoreIoStats::default(),
-        })
-    }
-
-    /// The directory this store writes into.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
-    fn path_of(&self, key: &str) -> Result<PathBuf, StoreError> {
-        check_key(key)?;
-        Ok(self.dir.join(format!("{key}.json")))
-    }
-}
-
-impl SnapshotStore for FileStore {
-    fn put(&mut self, key: &str, record: &Value) -> Result<(), StoreError> {
-        let path = self.path_of(key)?;
-        // Per-process temp name: two processes sharing a directory (the
-        // `recover` hand-off scenario) must not interleave writes into
-        // one temp file and rename mixed content into place.
-        let tmp = self
-            .dir
-            .join(format!("{key}.json.tmp{}", std::process::id()));
-        let raw = record.to_json();
-        fs::write(&tmp, &raw)
-            .map_err(|e| StoreError::io(format!("write '{}': {e}", tmp.display())))?;
-        fs::rename(&tmp, &path)
-            .map_err(|e| StoreError::io(format!("rename into '{}': {e}", path.display())))?;
-        self.io.puts += 1;
-        self.io.bytes_written += raw.len() as u64;
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> Result<Option<Value>, StoreError> {
-        let path = self.path_of(key)?;
-        let raw = match fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::io(format!("read '{}': {e}", path.display()))),
-        };
-        parse_json(&raw)
-            .map(Some)
-            .map_err(|e| StoreError::corrupt(key, format!("invalid record json: {e}")))
-    }
-
-    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
-        let path = self.path_of(key)?;
-        match fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::io(format!("remove '{}': {e}", path.display()))),
-        }
-        self.io.removes += 1;
-        Ok(())
-    }
-
-    fn keys(&self) -> Result<Vec<String>, StoreError> {
-        let entries = fs::read_dir(&self.dir)
-            .map_err(|e| StoreError::io(format!("list '{}': {e}", self.dir.display())))?;
-        let mut keys = Vec::new();
-        for entry in entries {
-            let entry =
-                entry.map_err(|e| StoreError::io(format!("list '{}': {e}", self.dir.display())))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(key) = name.strip_suffix(".json") {
-                if check_key(key).is_ok() {
-                    keys.push(key.to_string());
-                }
-            }
-        }
-        keys.sort();
-        Ok(keys)
     }
 
     fn io_stats(&self) -> StoreIoStats {
@@ -453,22 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn file_store_round_trips() {
-        let dir = std::env::temp_dir().join(format!("webrobot-store-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut store = FileStore::open(&dir).unwrap();
-        exercise(&mut store);
-        // A second handle on the same directory sees the same records —
-        // the reopen path a process restart takes.
-        let reopened = FileStore::open(&dir).unwrap();
-        assert_eq!(reopened.get("s-2").unwrap(), Some(record(2)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn segment_store_round_trips() {
         let dir = std::env::temp_dir().join(format!("webrobot-store-seg-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
         let mut store = SegmentStore::open(&dir).unwrap();
         exercise(&mut store);
         // A reopen from the log sees exactly the flushed records.
@@ -476,38 +328,7 @@ mod tests {
         let reopened = SegmentStore::open(&dir).unwrap();
         assert_eq!(reopened.get("s-2").unwrap(), Some(record(2)));
         assert_eq!(reopened.keys().unwrap(), vec!["s-2", "shard-1-of-1"]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_sweeps_stale_orphaned_temp_files_only() {
-        let dir = std::env::temp_dir().join(format!("webrobot-store-tmp-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        {
-            let mut store = FileStore::open(&dir).unwrap();
-            store.put("s-1", &record(1)).unwrap();
-        }
-        // A crash between write and rename left this temp file behind
-        // hours ago…
-        let orphan = dir.join("s-2.json.tmp4242");
-        fs::write(&orphan, "partial").unwrap();
-        fs::File::options()
-            .write(true)
-            .open(&orphan)
-            .unwrap()
-            .set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(7200))
-            .unwrap();
-        // …while this one belongs to another process's put in flight
-        // right now.
-        let in_flight = dir.join("s-3.json.tmp7777");
-        fs::write(&in_flight, "mid-write").unwrap();
-
-        let store = FileStore::open(&dir).unwrap();
-        assert!(!orphan.exists(), "stale orphan swept on open");
-        assert!(in_flight.exists(), "fresh temp (live writer) untouched");
-        assert_eq!(store.get("s-1").unwrap(), Some(record(1)), "records kept");
-        assert_eq!(store.keys().unwrap(), vec!["s-1"]);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -517,12 +338,5 @@ mod tests {
         let err = store.get("s-1").unwrap_err();
         assert_eq!(err.code(), "snapshot_corrupt");
         assert!(err.to_string().contains("s-1"));
-
-        let dir = std::env::temp_dir().join(format!("webrobot-store-bad-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = FileStore::open(&dir).unwrap();
-        fs::write(dir.join("s-9.json"), "not json at all").unwrap();
-        assert_eq!(store.get("s-9").unwrap_err().code(), "snapshot_corrupt");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

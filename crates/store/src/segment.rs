@@ -41,17 +41,15 @@
 //! manifest (duplicate records, newest wins on replay) or the new one
 //! (orphan file, swept on open).
 //!
-//! # Migration
+//! # Import
 //!
-//! Opening a directory in the [`FileStore`](crate::FileStore)
-//! one-file-per-record layout (no manifest present) imports every
-//! `<key>.json` record into the log, commits, writes the manifest and
-//! removes the imported files — deployments upgrade in place. The layout
-//! stays shard-count-stable because keys, not shards, are the unit of
-//! storage; concurrent shard workers share one log through cloned
-//! [`SegmentHandle`]s. A segment directory has a **single writing
-//! process**: the multi-process hand-off that `FileStore` tolerates is
-//! not supported here.
+//! Opening a directory in the one-file-per-record layout earlier releases
+//! wrote (`<key>.json` files, no manifest) imports every record into the
+//! log, commits, writes the manifest and removes the imported files —
+//! deployments upgrade in place. The layout stays shard-count-stable
+//! because keys, not shards, are the unit of storage; concurrent shard
+//! workers share one log through cloned [`SegmentHandle`]s. A segment
+//! directory has a **single writing process**.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -391,8 +389,8 @@ fn write_manifest(dir: &Path, ids: &[u64]) -> Result<(), StoreError> {
     fs::rename(&tmp, &path).map_err(|e| fail("swap", e))
 }
 
-/// Reads (and validates) every `<key>.json` record of a legacy
-/// [`FileStore`](crate::FileStore) directory, sorted by key.
+/// Reads (and validates) every `<key>.json` record of a directory in the
+/// one-file-per-record layout, sorted by key.
 fn legacy_records(dir: &Path) -> Result<Vec<(String, String)>, StoreError> {
     let entries =
         fs::read_dir(dir).map_err(|e| StoreError::io(format!("list '{}': {e}", dir.display())))?;
@@ -473,9 +471,9 @@ impl SegmentStore {
         }
     }
 
-    /// Fresh directory (or legacy `FileStore` layout): import, commit,
+    /// Fresh directory (or one-file-per-record layout): import, commit,
     /// then publish the manifest — a crash before the manifest lands
-    /// leaves the legacy files untouched and the import restarts.
+    /// leaves the record files untouched and the import restarts.
     fn create(cfg: SegmentConfig, dir: PathBuf) -> Result<SegmentStore, StoreError> {
         let legacy = legacy_records(&dir)?;
         let path = seg_path(&dir, 1);
@@ -1067,13 +1065,10 @@ mod tests {
     }
 
     #[test]
-    fn file_store_layout_migrates_in_place() {
+    fn record_file_layout_migrates_in_place() {
         let dir = TempDir::new("migrate");
-        {
-            let mut legacy = crate::FileStore::open(dir.path()).unwrap();
-            legacy.put("s-1", &record(1)).unwrap();
-            legacy.put("s-2", &record(2)).unwrap();
-            legacy.put("shard-1-of-1", &record(0)).unwrap();
+        for (key, n) in [("s-1", 1), ("s-2", 2), ("shard-1-of-1", 0)] {
+            fs::write(dir.path().join(format!("{key}.json")), record(n).to_json()).unwrap();
         }
         let store = SegmentStore::open(dir.path()).unwrap();
         assert_eq!(store.get("s-1").unwrap(), Some(record(1)));

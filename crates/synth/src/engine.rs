@@ -217,10 +217,10 @@ impl GenEntry {
 /// tables, no DOM references. Everything execution-dependent (resumable
 /// prediction steppers, canonical-id interning, the dedup set) is
 /// rebuilt deterministically against the adopting synthesizer's own
-/// trace, which is what makes adoption equivalent to having re-run the
-/// schedule: the engine's stored state provably does not move between
-/// worklist runs, so carrying the state across a restore skips those
-/// runs without changing any observable result.
+/// trace, which is what makes the adopting engine equivalent to the one
+/// the digest was taken from: carrying the state across a restore skips
+/// every worklist run the original paid for without changing any
+/// observable result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineDigest {
     /// Queued worklist items, in the order the heap would tie-break them

@@ -1,5 +1,5 @@
 //! Durable sessions end-to-end: a [`SessionManager`] backed by a
-//! [`FileStore`] survives a **simulated process restart** mid-workflow.
+//! [`SegmentStore`] survives a **simulated process restart** mid-workflow.
 //!
 //! The first "process" opens a session, demonstrates two scrapes,
 //! authorizes one prediction, checkpoints, and is dropped — exactly what
@@ -7,11 +7,12 @@
 //! reopens the same store directory, re-registers the site, and carries
 //! the session to completion as if nothing happened: same predictions,
 //! same outputs, same id sequence (the store also carries the manager's
-//! counters, so even `stats` continues seamlessly).
+//! counters, so even the `stats` group of a `metrics` scrape continues
+//! seamlessly).
 //!
 //! Every request/response printed is a plain JSON string of the v1 wire
-//! protocol; the store records are plain JSON files you can inspect in
-//! the printed directory (shapes documented in `PROTOCOL.md`
+//! protocol; the store is a segment log in the printed directory whose
+//! records are that same JSON (shapes documented in `PROTOCOL.md`
 //! § Durability).
 //!
 //! ```text
@@ -21,7 +22,7 @@
 use std::error::Error;
 use std::sync::Arc;
 
-use webrobot::{FileStore, ServiceConfig, SessionManager, SiteBuilder, Value};
+use webrobot::{SegmentStore, ServiceConfig, SessionManager, SiteBuilder, Value};
 use webrobot_data::parse_json;
 use webrobot_dom::parse_html;
 
@@ -51,7 +52,7 @@ fn send(manager: &mut SessionManager, request: &str) -> String {
 }
 
 fn open_manager(dir: &std::path::Path) -> Result<SessionManager, Box<dyn Error>> {
-    let store = Box::new(FileStore::open(dir)?);
+    let store = Box::new(SegmentStore::open(dir)?);
     let mut manager = SessionManager::with_store(ServiceConfig::default(), store)?;
     manager.register_site("directory", site(), Value::Object(vec![]));
     Ok(manager)
@@ -134,10 +135,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         &mut manager,
         r#"{"v": 1, "kind": "close", "session": "s-2"}"#,
     );
-    let stats = send(&mut manager, r#"{"v": 1, "kind": "stats"}"#);
+    let metrics = send(&mut manager, r#"{"v": 1, "kind": "metrics"}"#);
     assert!(
-        stats.contains(r#""sessions_created":2"#),
-        "counters survived the restart: {stats}"
+        metrics.contains(r#""sessions":{"created":2,"closed":2"#),
+        "counters survived the restart: {metrics}"
     );
 
     drop(manager);

@@ -2,11 +2,10 @@
 //! kill/recover and evict/restore guarantees proven in `persistence.rs`
 //! on hand-written anchor sites must hold identically on procedurally
 //! generated sites (`webrobot_benchmarks::gen`) — richer DOMs, loopy
-//! ground truths, real `EnterData`/`Click` navigation — and on both store
-//! backends. A final differential pins the engine-digest restore path: a
-//! deployment that rehydrates synthesizer search state from stored
-//! digests must be wire-identical to one that re-synthesizes from the
-//! replayed trace.
+//! ground truths, real `EnterData`/`Click` navigation. A final
+//! differential pins the restore path: a deployment that restores a
+//! session from its snapshot's engine digest on every request must be
+//! wire-identical to one that never evicts.
 //!
 //! Method (shared with `persistence.rs`): a *reference* deployment and a
 //! *subject* deployment receive the exact same request strings in
@@ -18,9 +17,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use webrobot::{
-    Event, FileStore, Request, SegmentStore, ServiceConfig, ShardedManager, SnapshotStore, Value,
-};
+use webrobot::{Event, Request, SegmentStore, ServiceConfig, ShardedManager, SnapshotStore, Value};
 use webrobot_benchmarks::{generated, Benchmark, Family, GenFamily};
 use webrobot_data::parse_json;
 use webrobot_service::event_to_value;
@@ -48,29 +45,13 @@ impl Drop for TempDir {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    File,
-    Segment,
-}
-
-fn open_sharded_with(
-    backend: Backend,
-    cfg: &ServiceConfig,
-    shards: usize,
-    dir: &Path,
-) -> ShardedManager {
-    let stores: Vec<Box<dyn SnapshotStore>> = match backend {
-        Backend::File => (0..shards)
-            .map(|_| Box::new(FileStore::open(dir).unwrap()) as Box<dyn SnapshotStore>)
-            .collect(),
-        Backend::Segment => {
-            let handle = SegmentStore::open(dir).unwrap().into_shared();
-            (0..shards)
-                .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
-                .collect()
-        }
-    };
+/// A sharded deployment over one segment store at `dir`, shared by all
+/// shards.
+fn open_sharded(cfg: &ServiceConfig, shards: usize, dir: &Path) -> ShardedManager {
+    let handle = SegmentStore::open(dir).unwrap().into_shared();
+    let stores: Vec<Box<dyn SnapshotStore>> = (0..shards)
+        .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
+        .collect();
     ShardedManager::with_stores(cfg.clone(), stores).unwrap()
 }
 
@@ -132,6 +113,22 @@ fn status_of(reply: &Value) -> String {
         .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string()
+}
+
+/// The `stats` group of a deployment's `metrics` reply (the counters; the
+/// rest of a scrape is timings).
+fn stats_group(m: &ShardedManager) -> String {
+    let reply = parse_json(&m.handle_json(r#"{"v": 1, "kind": "metrics"}"#)).unwrap();
+    reply.field("stats").expect("metrics carry stats").to_json()
+}
+
+/// The event a mode-first client sends next.
+fn next_event(mode: &str) -> &'static str {
+    match mode {
+        "authorize" => r#"{"type": "accept", "index": 0}"#,
+        "automate" => r#"{"type": "automate_step"}"#,
+        _ => r#"{"type": "finish"}"#,
+    }
 }
 
 /// Phase 1: one session per generated benchmark, the first `prefix`
@@ -201,12 +198,7 @@ fn drive_to_done(reference: &ShardedManager, subject: &ShardedManager, id: &str,
     while mode != "done" {
         guard += 1;
         assert!(guard < 96, "workflow did not converge for {id}");
-        let event = match mode.as_str() {
-            "authorize" => r#"{"type": "accept", "index": 0}"#,
-            "automate" => r#"{"type": "automate_step"}"#,
-            _ => r#"{"type": "finish"}"#,
-        };
-        let reply = both(reference, subject, &event_req(id, event));
+        let reply = both(reference, subject, &event_req(id, next_event(&mode)));
         if status_of(&reply) != "ok" {
             // Typed failure, byte-compared above like everything else.
             both(reference, subject, &event_req(id, r#"{"type": "finish"}"#));
@@ -225,8 +217,8 @@ fn drive_to_done(reference: &ShardedManager, subject: &ShardedManager, id: &str,
 }
 
 /// Phase 2: complete every session, checkpoint, close, and end on a
-/// stats probe — all byte-compared (the workload applies no eviction
-/// pressure, so even the residency counters must agree).
+/// stats probe — all byte-compared, the final counters too (the workload
+/// applies no eviction pressure, so even the residency counters agree).
 fn phase2(reference: &ShardedManager, subject: &ShardedManager, sessions: &[(String, String)]) {
     for (id, mode) in sessions {
         drive_to_done(reference, subject, id, mode);
@@ -246,51 +238,43 @@ fn phase2(reference: &ShardedManager, subject: &ShardedManager, sessions: &[(Str
             .to_json(),
         );
     }
-    both(reference, subject, r#"{"v": 1, "kind": "stats"}"#);
+    assert_eq!(stats_group(reference), stats_group(subject));
 }
 
 /// Kill (drop-flush) and reopen mid-workflow over generated sites: every
 /// wire response byte-identical to a deployment that never restarted.
-fn generated_reopen_differential(backend: Backend) {
+#[test]
+fn generated_workloads_reopen_byte_identical_on_the_segment_backend() {
     let benches = terminating_workload(11);
-    let dir_ref = TempDir::new(&format!("reopen-{backend:?}-ref"));
-    let dir_sub = TempDir::new(&format!("reopen-{backend:?}-sub"));
+    let dir_ref = TempDir::new("reopen-ref");
+    let dir_sub = TempDir::new("reopen-sub");
     let cfg = ServiceConfig::default();
 
-    let reference = open_sharded_with(backend, &cfg, 2, dir_ref.path());
+    let reference = open_sharded(&cfg, 2, dir_ref.path());
     register_generated(&reference, &benches);
-    let subject = open_sharded_with(backend, &cfg, 2, dir_sub.path());
+    let subject = open_sharded(&cfg, 2, dir_sub.path());
     register_generated(&subject, &benches);
 
     let sessions = phase1(&reference, &subject, &benches, 4);
     drop(subject); // flush
-    let subject = open_sharded_with(backend, &cfg, 2, dir_sub.path());
+    let subject = open_sharded(&cfg, 2, dir_sub.path());
     register_generated(&subject, &benches);
     phase2(&reference, &subject, &sessions);
 }
 
-#[test]
-fn generated_workloads_reopen_byte_identical_on_the_file_backend() {
-    generated_reopen_differential(Backend::File);
-}
-
-#[test]
-fn generated_workloads_reopen_byte_identical_on_the_segment_backend() {
-    generated_reopen_differential(Backend::Segment);
-}
-
 /// A hard kill (no destructors — `mem::forget`, exactly like SIGKILL)
 /// right after an explicit checkpoint loses nothing the checkpoint
-/// covered, on either backend, over generated sites.
-fn generated_hard_kill_differential(backend: Backend) {
+/// covered, over generated sites.
+#[test]
+fn generated_checkpoint_bounds_hard_kill_loss_on_the_segment_backend() {
     let benches = terminating_workload(29);
-    let dir_ref = TempDir::new(&format!("hardkill-{backend:?}-ref"));
-    let dir_sub = TempDir::new(&format!("hardkill-{backend:?}-sub"));
+    let dir_ref = TempDir::new("hardkill-ref");
+    let dir_sub = TempDir::new("hardkill-sub");
     let cfg = ServiceConfig::default();
 
-    let reference = open_sharded_with(backend, &cfg, 2, dir_ref.path());
+    let reference = open_sharded(&cfg, 2, dir_ref.path());
     register_generated(&reference, &benches);
-    let subject = open_sharded_with(backend, &cfg, 2, dir_sub.path());
+    let subject = open_sharded(&cfg, 2, dir_sub.path());
     register_generated(&subject, &benches);
 
     let sessions = phase1(&reference, &subject, &benches, 4);
@@ -302,46 +286,36 @@ fn generated_hard_kill_differential(backend: Backend) {
 
     std::mem::forget(subject); // SIGKILL: no drop-flush
 
-    let subject = open_sharded_with(backend, &cfg, 2, dir_sub.path());
+    let subject = open_sharded(&cfg, 2, dir_sub.path());
     register_generated(&subject, &benches);
     phase2(&reference, &subject, &sessions);
 }
 
+/// Restore under thrash: a single live slot forces an evict + restore
+/// cycle on every request, so each reply is produced by a session freshly
+/// rehydrated from its snapshot — including the mixed family, whose
+/// `EnterData`/`Click` history must replay through form state and page
+/// navigation. A kill/reopen lands mid-thrash. Session-scoped responses
+/// only (the stats gauge caveat is documented in PROTOCOL.md).
 #[test]
-fn generated_checkpoint_bounds_hard_kill_loss_on_the_file_backend() {
-    generated_hard_kill_differential(Backend::File);
-}
-
-#[test]
-fn generated_checkpoint_bounds_hard_kill_loss_on_the_segment_backend() {
-    generated_hard_kill_differential(Backend::Segment);
-}
-
-/// Delta restore under thrash: a single live slot forces an evict +
-/// restore cycle on every request, so each reply is produced by a
-/// session freshly rehydrated from its delta snapshot — including the
-/// mixed family, whose `EnterData`/`Click` history must replay through
-/// form state and page navigation. A kill/reopen lands mid-thrash.
-/// Session-scoped responses only (the stats gauge caveat is documented
-/// in PROTOCOL.md).
-fn generated_eviction_thrash_differential(backend: Backend) {
+fn generated_eviction_thrash_is_unobservable_on_the_segment_backend() {
     let mut benches = terminating_workload(7);
     benches.push(generated(GenFamily::Mixed, 7));
-    let dir_ref = TempDir::new(&format!("thrash-{backend:?}-ref"));
-    let dir_sub = TempDir::new(&format!("thrash-{backend:?}-sub"));
+    let dir_ref = TempDir::new("thrash-ref");
+    let dir_sub = TempDir::new("thrash-sub");
     let cfg = ServiceConfig::builder()
         .max_live_sessions(1)
         .build()
         .unwrap();
 
-    let reference = open_sharded_with(backend, &cfg, 1, dir_ref.path());
+    let reference = open_sharded(&cfg, 1, dir_ref.path());
     register_generated(&reference, &benches);
-    let subject = open_sharded_with(backend, &cfg, 1, dir_sub.path());
+    let subject = open_sharded(&cfg, 1, dir_sub.path());
     register_generated(&subject, &benches);
 
     let sessions = phase1(&reference, &subject, &benches, 4);
     drop(subject);
-    let subject = open_sharded_with(backend, &cfg, 1, dir_sub.path());
+    let subject = open_sharded(&cfg, 1, dir_sub.path());
     register_generated(&subject, &benches);
 
     for (id, mode) in &sessions {
@@ -349,50 +323,69 @@ fn generated_eviction_thrash_differential(backend: Backend) {
     }
 }
 
+/// The restore differential: under a single live slot, every request
+/// evicts one session and restores the next from its snapshot's engine
+/// digest; every reply — prediction, outcome, error — must match a
+/// deployment that never evicts. Sessions advance round-robin, one event
+/// each per round, so every request switches sessions; the mixed family
+/// replays `EnterData`/`Click` history through form state and
+/// navigation on each restore.
 #[test]
-fn generated_eviction_thrash_is_unobservable_on_the_file_backend() {
-    generated_eviction_thrash_differential(Backend::File);
-}
-
-#[test]
-fn generated_eviction_thrash_is_unobservable_on_the_segment_backend() {
-    generated_eviction_thrash_differential(Backend::Segment);
-}
-
-/// The engine-digest differential: under the same single-slot thrash,
-/// a deployment restoring synthesizer state from stored [`EngineDigest`]s
-/// (`engine_digest: true`, the default) must be wire-identical — every
-/// prediction, every outcome, every error — to one that discards digests
-/// and re-synthesizes from the replayed trace on each restore
-/// (`engine_digest: false`). On generated workloads this pins the
-/// incremental-adoption path against the from-scratch path through the
-/// full service stack, not just the synthesizer API.
-///
-/// [`EngineDigest`]: webrobot::EngineDigest
-#[test]
-fn digest_and_resynth_restores_agree_on_generated_workloads() {
+fn digest_restores_match_an_unevicted_deployment_on_generated_workloads() {
     let mut benches = terminating_workload(13);
     benches.push(generated(GenFamily::Mixed, 13));
-    let dir_ref = TempDir::new("digest-ref");
-    let dir_sub = TempDir::new("digest-sub");
-    let cfg_digest = ServiceConfig::builder()
+    let dir_ref = TempDir::new("restore-ref");
+    let dir_sub = TempDir::new("restore-sub");
+    let thrash = ServiceConfig::builder()
         .max_live_sessions(1)
-        .engine_digest(true)
-        .build()
-        .unwrap();
-    let cfg_resynth = ServiceConfig::builder()
-        .max_live_sessions(1)
-        .engine_digest(false)
         .build()
         .unwrap();
 
-    let reference = open_sharded_with(Backend::File, &cfg_digest, 1, dir_ref.path());
+    let reference = open_sharded(&ServiceConfig::default(), 1, dir_ref.path());
     register_generated(&reference, &benches);
-    let subject = open_sharded_with(Backend::File, &cfg_resynth, 1, dir_sub.path());
+    let subject = open_sharded(&thrash, 1, dir_sub.path());
     register_generated(&subject, &benches);
 
     let sessions = phase1(&reference, &subject, &benches, 4);
-    for (id, mode) in &sessions {
-        drive_to_done(&reference, &subject, id, mode);
+    let mut modes: Vec<String> = sessions.iter().map(|(_, mode)| mode.clone()).collect();
+    for _round in 0..96 {
+        let mut open = false;
+        for ((id, _), mode) in sessions.iter().zip(&mut modes) {
+            if mode == "done" {
+                continue;
+            }
+            open = true;
+            let reply = both(&reference, &subject, &event_req(id, next_event(mode)));
+            *mode = if status_of(&reply) == "ok" {
+                mode_of(&reply)
+            } else {
+                // A typed failure, byte-compared above, ends the session.
+                both(
+                    &reference,
+                    &subject,
+                    &event_req(id, r#"{"type": "finish"}"#),
+                );
+                "done".to_string()
+            };
+        }
+        if !open {
+            break;
+        }
     }
+    assert!(modes.iter().all(|m| m == "done"), "workflows converged");
+    for (id, _) in &sessions {
+        both(
+            &reference,
+            &subject,
+            &Request::Outputs {
+                session: id.clone(),
+            }
+            .to_json(),
+        );
+    }
+    assert_eq!(reference.stats_v2().residency.restores, 0);
+    assert!(
+        subject.stats_v2().residency.restores as usize > 2 * sessions.len(),
+        "the subject restored on every session switch"
+    );
 }

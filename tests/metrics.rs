@@ -6,8 +6,8 @@
 //! counts 1 and 4, which must agree because requests are recorded once
 //! at the front-end boundary, not per shard.
 //!
-//! Also pins the legacy `{"v": 1, "kind": "stats"}` reply byte-for-byte:
-//! the StatsV2 redesign underneath must be invisible to v1 clients.
+//! Also pins the reply to the retired `{"v": 1, "kind": "stats"}`
+//! request: a typed `bad_request`, byte-for-byte.
 
 use std::sync::Arc;
 
@@ -26,13 +26,11 @@ fn anchor_site() -> Arc<Site> {
 }
 
 fn manager(shards: usize) -> ShardedManager {
-    // A one-hour quantum routes every event through the slicing
-    // scheduler (unlike `quantum(None)`, which takes the unsliced legacy
-    // dispatch and records no quanta) while guaranteeing each event
-    // completes inside its first slice: exactly one quantum per
-    // dispatched event, zero parks — exact, not timing-dependent.
+    // A one-hour quantum guarantees each event completes inside its
+    // first slice: exactly one quantum per dispatched event, zero parks —
+    // exact, not timing-dependent.
     let cfg = ServiceConfig::builder()
-        .quantum(Some(std::time::Duration::from_secs(3600)))
+        .quantum(std::time::Duration::from_secs(3600))
         .build()
         .unwrap();
     let manager = ShardedManager::new(cfg, shards);
@@ -78,7 +76,6 @@ fn run_script(manager: &ShardedManager) {
             r#""code":"unknown_site""#,
         ),
         (r#"{"v": 1, "kind": "checkpoint"}"#, r#""code":"no_store""#),
-        (r#"{"v": 1, "kind": "stats"}"#, r#""kind":"stats""#),
         (
             r#"{"v": 1, "kind": "close", "session": "s-1"}"#,
             r#""kind":"closed""#,
@@ -185,7 +182,6 @@ fn wire_script_yields_exact_counter_and_histogram_deltas() {
             &[("unknown_session", 1), ("invalid_prediction", 1)],
         );
         assert_row(metrics, "outputs", 1, &[]);
-        assert_row(metrics, "stats", 1, &[]);
         assert_row(metrics, "close", 1, &[]);
         assert_row(metrics, "checkpoint", 0, &[("no_store", 1)]);
         assert_row(metrics, "recover", 0, &[]);
@@ -229,7 +225,7 @@ fn wire_script_yields_exact_counter_and_histogram_deltas() {
 }
 
 /// The `metrics` reply embeds the StatsV2 shape — versioned, grouped —
-/// and its numbers agree with the legacy counters for the same run.
+/// and its numbers agree with the library accessor for the same run.
 #[test]
 fn metrics_reply_embeds_versioned_stats() {
     let manager = manager(2);
@@ -243,21 +239,25 @@ fn metrics_reply_embeds_versioned_stats() {
     assert_eq!(int(sessions, "live"), 0);
     let events = stats.field("events").expect("events group");
     assert_eq!(int(events, "ok"), 3);
-    let legacy = manager.stats();
-    assert_eq!(legacy.sessions_created, 1);
-    assert_eq!(legacy.events_ok, 3);
+    let accessor = manager.stats_v2();
+    assert_eq!(accessor.sessions.created, 1);
+    assert_eq!(accessor.events.ok, 3);
 }
 
-/// Satellite (a)'s wire pin: the legacy `stats` reply is byte-identical
-/// to the pre-redesign serialization — asserted against a literal, so
-/// any accidental reshaping of the v1 surface fails loudly here.
+/// The flat `stats` request is retired — `metrics` carries the same
+/// counters in its `stats` group. An old client's `stats` frame gets a
+/// typed `bad_request` (asserted against a literal) and is counted as a
+/// malformed frame.
 #[test]
-fn legacy_stats_reply_is_byte_identical() {
+fn legacy_stats_request_is_a_bad_request() {
     let manager = manager(1);
     run_script(&manager);
-    let reply = manager.handle_json(r#"{"v": 1, "kind": "stats"}"#);
+    let reply = manager.handle_json(r#"{"v":1,"kind":"stats"}"#);
     assert_eq!(
         reply,
-        r#"{"v":1,"status":"ok","kind":"stats","stats":{"sessions_created":1,"sessions_closed":1,"live_sessions":0,"evicted_sessions":0,"events_ok":3,"events_rejected":1,"evictions":0,"restores":0}}"#,
+        r#"{"v":1,"status":"error","error":{"code":"bad_request","message":"bad_request: unknown request kind 'stats'"}}"#,
     );
+    let reply = scrape(&manager);
+    let metrics = reply.field("metrics").expect("metrics payload");
+    assert_row(metrics, "malformed", 0, &[("bad_request", 2)]);
 }

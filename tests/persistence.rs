@@ -12,6 +12,7 @@
 //! so the transcript covers the full demo→authorize→automate workflow,
 //! deliberate errors included.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -19,8 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use webrobot::{
-    FileStore, MemoryStore, Request, SegmentStore, ServiceConfig, SessionManager, ShardedManager,
-    SiteBuilder, SnapshotStore, StoreError, Value,
+    MemoryStore, Request, SegmentStore, ServiceConfig, SessionManager, ShardedManager, SiteBuilder,
+    SnapshotStore, StoreError, Value,
 };
 use webrobot_data::parse_json;
 use webrobot_dom::parse_html;
@@ -60,44 +61,61 @@ impl Drop for TempDir {
     }
 }
 
-/// Which persistent store the deployment runs on. Every differential in
-/// this file holds for both: the one-file-per-record [`FileStore`] and
-/// the log-structured [`SegmentStore`].
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    File,
-    Segment,
-}
-
-/// Opens a sharded deployment over `shards` stores, all rooted at one
-/// shared directory (the layout is shard-count-stable: each shard adopts
-/// exactly the session ids it owns). With the segment backend all shards
-/// share a *single* log through cloned [`SegmentHandle`]s — the unit of
-/// storage is the key, not the shard.
+/// Opens a sharded deployment over one segment store rooted at `dir`,
+/// shared by all `shards` shards through cloned [`SegmentHandle`]s (the
+/// layout is shard-count-stable: each shard adopts exactly the session
+/// ids it owns — the unit of storage is the key, not the shard).
 ///
 /// [`SegmentHandle`]: webrobot::SegmentHandle
-fn open_sharded_with(
-    backend: Backend,
-    cfg: &ServiceConfig,
-    shards: usize,
-    dir: &Path,
-) -> ShardedManager {
-    let stores: Vec<Box<dyn SnapshotStore>> = match backend {
-        Backend::File => (0..shards)
-            .map(|_| Box::new(FileStore::open(dir).unwrap()) as Box<dyn SnapshotStore>)
-            .collect(),
-        Backend::Segment => {
-            let handle = SegmentStore::open(dir).unwrap().into_shared();
-            (0..shards)
-                .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
-                .collect()
-        }
-    };
+fn open_sharded(cfg: &ServiceConfig, shards: usize, dir: &Path) -> ShardedManager {
+    let handle = SegmentStore::open(dir).unwrap().into_shared();
+    let stores: Vec<Box<dyn SnapshotStore>> = (0..shards)
+        .map(|_| Box::new(handle.clone()) as Box<dyn SnapshotStore>)
+        .collect();
     ShardedManager::with_stores(cfg.clone(), stores).unwrap()
 }
 
-fn open_sharded(cfg: &ServiceConfig, shards: usize, dir: &Path) -> ShardedManager {
-    open_sharded_with(Backend::File, cfg, shards, dir)
+/// Every record of the (closed) store at `dir`, as raw JSON text.
+fn records_of(dir: &Path) -> BTreeMap<String, String> {
+    let store = SegmentStore::open(dir).unwrap();
+    store
+        .keys()
+        .unwrap()
+        .into_iter()
+        .map(|key| {
+            let raw = store.get(&key).unwrap().unwrap().to_json();
+            (key, raw)
+        })
+        .collect()
+}
+
+/// Writes `records` into `dir` as one `<key>.json` file each — the
+/// layout earlier releases' default store wrote, which a segment store
+/// imports on open.
+fn write_record_files(dir: &Path, records: &BTreeMap<String, String>) {
+    for (key, raw) in records {
+        fs::write(dir.join(format!("{key}.json")), raw).unwrap();
+    }
+}
+
+/// How the subject's store comes back after its "kill".
+#[derive(Clone, Copy, Debug)]
+enum Reopen {
+    /// The segment log is reopened where it lies.
+    Log,
+    /// The store is first rewritten as `<key>.json` record files, so the
+    /// reopen goes through the segment store's import.
+    Import,
+}
+
+fn reopen_sharded(how: Reopen, cfg: &ServiceConfig, shards: usize, dir: &Path) -> ShardedManager {
+    if let Reopen::Import = how {
+        let records = records_of(dir);
+        fs::remove_dir_all(dir).unwrap();
+        fs::create_dir_all(dir).unwrap();
+        write_record_files(dir, &records);
+    }
+    open_sharded(cfg, shards, dir)
 }
 
 fn register_sites(m: &ShardedManager, sites: &[Arc<webrobot::Site>]) {
@@ -142,6 +160,14 @@ fn mode_of(reply: &Value) -> String {
         .to_string()
 }
 
+/// The `stats` group of a deployment's `metrics` reply: the counters a
+/// scrape carries, and the part of it two deployments can byte-compare
+/// (the rest is timings).
+fn stats_group(m: &ShardedManager) -> String {
+    let reply = parse_json(&m.handle_json(r#"{"v": 1, "kind": "metrics"}"#)).unwrap();
+    reply.field("stats").expect("metrics carry stats").to_json()
+}
+
 /// Phase 1 of the workload: open one session per site, demonstrate two
 /// scrapes each (round-robin interleaved), and mix in a deliberate
 /// out-of-range accept so error responses are differentially checked too.
@@ -182,7 +208,7 @@ fn phase1(reference: &ShardedManager, subject: &ShardedManager, sessions: usize)
 /// Phase 2: drive every session mode-first to completion (accepts, then
 /// automation, then finish/close), open one more session to pin the id
 /// sequence, checkpoint both deployments, and end on a stats probe. All
-/// responses byte-compared.
+/// responses byte-compared, and the final counters too.
 fn phase2(reference: &ShardedManager, subject: &ShardedManager, ids: &[String]) {
     // One more create: the reopened deployment must continue the global
     // id sequence exactly where the killed process stopped.
@@ -245,31 +271,30 @@ fn phase2(reference: &ShardedManager, subject: &ShardedManager, ids: &[String]) 
             .to_json(),
         );
     }
-    let stats = both(reference, subject, r#"{"v": 1, "kind": "stats"}"#);
-    let stats = stats.field("stats").unwrap();
+    let stats = stats_group(reference);
+    assert_eq!(stats, stats_group(subject), "counters diverged");
+    let stats = parse_json(&stats).unwrap();
+    let sessions = stats.field("sessions").unwrap();
     assert_eq!(
-        stats.field("sessions_closed").and_then(Value::as_int),
+        sessions.field("closed").and_then(Value::as_int),
         Some(ids.len() as i64 + 1)
     );
-    assert_eq!(
-        stats.field("live_sessions").and_then(Value::as_int),
-        Some(0)
-    );
+    assert_eq!(sessions.field("live").and_then(Value::as_int), Some(0));
 }
 
 /// The acceptance differential: kill/reopen mid-workflow at shard counts
 /// 1, 2 and 4 — every wire response byte-identical to a deployment that
 /// never restarted, including the final stats.
-fn byte_identity_differential(backend: Backend) {
+fn byte_identity_differential(how: Reopen) {
     for shards in [1usize, 2, 4] {
         let sites: Vec<_> = [5, 6, 7].into_iter().map(anchor_site).collect();
-        let dir_ref = TempDir::new(&format!("ref-{backend:?}-{shards}"));
-        let dir_sub = TempDir::new(&format!("sub-{backend:?}-{shards}"));
+        let dir_ref = TempDir::new(&format!("ref-{how:?}-{shards}"));
+        let dir_sub = TempDir::new(&format!("sub-{how:?}-{shards}"));
         let cfg = ServiceConfig::default();
 
-        let reference = open_sharded_with(backend, &cfg, shards, dir_ref.path());
+        let reference = open_sharded(&cfg, shards, dir_ref.path());
         register_sites(&reference, &sites);
-        let subject = open_sharded_with(backend, &cfg, shards, dir_sub.path());
+        let subject = open_sharded(&cfg, shards, dir_sub.path());
         register_sites(&subject, &sites);
 
         let ids = phase1(&reference, &subject, sites.len());
@@ -277,21 +302,24 @@ fn byte_identity_differential(backend: Backend) {
         // "Kill" the subject process: dropping flushes every shard's
         // manager to its store. Then reopen from the same directory.
         drop(subject);
-        let subject = open_sharded_with(backend, &cfg, shards, dir_sub.path());
+        let subject = reopen_sharded(how, &cfg, shards, dir_sub.path());
         register_sites(&subject, &sites);
 
         phase2(&reference, &subject, &ids);
     }
 }
 
+/// The restart goes through the `<key>.json` import: a deployment whose
+/// store was written in the one-file-per-record layout (as by an earlier
+/// release's default store) reopens byte-identically.
 #[test]
 fn reopened_managers_are_byte_identical_at_shard_counts_1_2_4() {
-    byte_identity_differential(Backend::File);
+    byte_identity_differential(Reopen::Import);
 }
 
 #[test]
 fn segment_backed_managers_are_byte_identical_at_shard_counts_1_2_4() {
-    byte_identity_differential(Backend::Segment);
+    byte_identity_differential(Reopen::Log);
 }
 
 /// A hard kill right after an explicit `checkpoint` (no drop-flush: the
@@ -375,9 +403,9 @@ fn segment_recovery_lands_at_the_last_commit_after_a_hard_kill_mid_group_commit(
     let dir_sub = TempDir::new("seg-hardkill-sub");
     let cfg = ServiceConfig::default();
 
-    let reference = open_sharded_with(Backend::Segment, &cfg, 2, dir_ref.path());
+    let reference = open_sharded(&cfg, 2, dir_ref.path());
     register_sites(&reference, &sites);
-    let subject = open_sharded_with(Backend::Segment, &cfg, 2, dir_sub.path());
+    let subject = open_sharded(&cfg, 2, dir_sub.path());
     register_sites(&subject, &sites);
 
     let ids = phase1(&reference, &subject, sites.len());
@@ -404,7 +432,7 @@ fn segment_recovery_lands_at_the_last_commit_after_a_hard_kill_mid_group_commit(
     file.write_all(b"P\x00\x00").unwrap();
     drop(file);
 
-    let subject = open_sharded_with(Backend::Segment, &cfg, 2, dir_sub.path());
+    let subject = open_sharded(&cfg, 2, dir_sub.path());
     register_sites(&subject, &sites);
     phase2(&reference, &subject, &ids);
 }
@@ -415,23 +443,23 @@ fn segment_recovery_lands_at_the_last_commit_after_a_hard_kill_mid_group_commit(
 /// by design: the reference pays eviction/restore cycles for sessions the
 /// subject rehydrates from the store once — PROTOCOL.md documents the
 /// gauge caveat.)
-fn eviction_thrash_differential(backend: Backend) {
+fn eviction_thrash_differential(how: Reopen) {
     let sites: Vec<_> = [5, 6, 7].into_iter().map(anchor_site).collect();
-    let dir_ref = TempDir::new(&format!("thrash-{backend:?}-ref"));
-    let dir_sub = TempDir::new(&format!("thrash-{backend:?}-sub"));
+    let dir_ref = TempDir::new(&format!("thrash-{how:?}-ref"));
+    let dir_sub = TempDir::new(&format!("thrash-{how:?}-sub"));
     let cfg = ServiceConfig::builder()
         .max_live_sessions(1)
         .build()
         .unwrap();
 
-    let reference = open_sharded_with(backend, &cfg, 1, dir_ref.path());
+    let reference = open_sharded(&cfg, 1, dir_ref.path());
     register_sites(&reference, &sites);
-    let subject = open_sharded_with(backend, &cfg, 1, dir_sub.path());
+    let subject = open_sharded(&cfg, 1, dir_sub.path());
     register_sites(&subject, &sites);
 
     let ids = phase1(&reference, &subject, sites.len());
     drop(subject);
-    let subject = open_sharded_with(backend, &cfg, 1, dir_sub.path());
+    let subject = reopen_sharded(how, &cfg, 1, dir_sub.path());
     register_sites(&subject, &sites);
 
     // Mode-driven completion, interleaved so every turn thrashes the one
@@ -472,14 +500,15 @@ fn eviction_thrash_differential(backend: Backend) {
     }
 }
 
+/// The restart goes through the `<key>.json` import.
 #[test]
 fn restart_under_eviction_thrash_is_unobservable_on_session_responses() {
-    eviction_thrash_differential(Backend::File);
+    eviction_thrash_differential(Reopen::Import);
 }
 
 #[test]
 fn segment_restart_under_eviction_thrash_is_unobservable_on_session_responses() {
-    eviction_thrash_differential(Backend::Segment);
+    eviction_thrash_differential(Reopen::Log);
 }
 
 /// The store layout is shard-count-stable: a directory written by a
@@ -559,42 +588,35 @@ fn stores_reopen_across_shard_counts() {
 
 // ───────────────────── corruption / tampering ─────────────────────
 
-/// Sets up a flushed single-manager store with one mid-workflow session
-/// and returns the directory.
-fn flushed_store(name: &str) -> (TempDir, Arc<webrobot::Site>) {
-    let dir = TempDir::new(name);
-    let site = anchor_site(6);
-    let store = Box::new(FileStore::open(dir.path()).unwrap());
-    let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
-    m.register_site("site0", site.clone(), Value::Object(vec![]));
-    let reply = m.handle_json(&create_req(0));
-    assert!(reply.contains(r#""session":"s-1""#), "{reply}");
-    for step in 1..=2 {
-        let reply = m.handle_json(&event_req("s-1", &scrape_ev(step)));
-        assert!(reply.contains(r#""status":"ok""#), "{reply}");
-    }
-    drop(m); // flush
-    assert!(dir.path().join("s-1.json").exists());
-    assert!(dir.path().join("shard-1-of-1.json").exists());
-    (dir, site)
+/// One mid-workflow session (create + two demonstrations on `site0`),
+/// drop-flushed into a segment store; returns the store's records as raw
+/// JSON text — what the tamper tests edit — and the site.
+fn flushed_records(name: &str) -> (BTreeMap<String, String>, Arc<webrobot::Site>) {
+    let (dir, site) = flushed_segment_store(name);
+    let records = records_of(dir.path());
+    assert!(records.contains_key("s-1"));
+    assert!(records.contains_key("shard-1-of-1"));
+    (records, site)
 }
 
-fn reopen_single(dir: &Path) -> Result<SessionManager, StoreError> {
-    SessionManager::with_store(
-        ServiceConfig::default(),
-        Box::new(FileStore::open(dir).unwrap()),
-    )
+/// Reopens a single manager over a [`MemoryStore`] holding exactly
+/// `records`, verbatim.
+fn reopen_single(records: &BTreeMap<String, String>) -> Result<SessionManager, StoreError> {
+    let mut store = MemoryStore::new();
+    for (key, raw) in records {
+        store.insert_raw(key.clone(), raw.clone());
+    }
+    SessionManager::with_store(ServiceConfig::default(), Box::new(store))
 }
 
 /// A truncated session record (invalid JSON) fails the reopen fast with a
 /// typed `snapshot_corrupt` error — no panic, no half-adopted manager.
 #[test]
 fn truncated_session_records_fail_reopen_with_a_typed_error() {
-    let (dir, _site) = flushed_store("truncated");
-    let path = dir.path().join("s-1.json");
-    let full = fs::read_to_string(&path).unwrap();
-    fs::write(&path, &full[..full.len() / 2]).unwrap();
-    match reopen_single(dir.path()) {
+    let (mut records, _site) = flushed_records("truncated");
+    let full = records["s-1"].clone();
+    records.insert("s-1".to_string(), full[..full.len() / 2].to_string());
+    match reopen_single(&records) {
         Err(StoreError::Corrupt { key, .. }) => assert_eq!(key, "s-1"),
         other => panic!("expected a corrupt-record error, got {other:?}"),
     }
@@ -604,16 +626,11 @@ fn truncated_session_records_fail_reopen_with_a_typed_error() {
 /// typed wire error on first touch; the manager itself stays usable.
 #[test]
 fn shape_tampered_records_surface_as_wire_errors_on_touch() {
-    let (dir, site) = flushed_store("tampered-shape");
-    let path = dir.path().join("s-1.json");
-    let record = fs::read_to_string(&path).unwrap();
-    fs::write(
-        &path,
-        record.replace("\"mode\":\"authorize\"", "\"mode\":\"zen\""),
-    )
-    .unwrap();
+    let (mut records, site) = flushed_records("tampered-shape");
+    let tampered = records["s-1"].replace("\"mode\":\"authorize\"", "\"mode\":\"zen\"");
+    records.insert("s-1".to_string(), tampered);
 
-    let mut m = reopen_single(dir.path()).unwrap();
+    let mut m = reopen_single(&records).unwrap();
     m.register_site("site0", site.clone(), Value::Object(vec![]));
     let reply = m.handle_json(&event_req("s-1", r#"{"type": "accept", "index": 0}"#));
     assert!(reply.contains(r#""code":"snapshot_corrupt""#), "{reply}");
@@ -628,15 +645,14 @@ fn shape_tampered_records_surface_as_wire_errors_on_touch() {
 /// when restoration replays it.
 #[test]
 fn history_tampered_records_surface_as_browser_errors() {
-    let (dir, site) = flushed_store("tampered-history");
-    let path = dir.path().join("s-1.json");
-    let record = fs::read_to_string(&path).unwrap();
+    let (mut records, site) = flushed_records("tampered-history");
     // The executed history stores absolute paths (/html[1]/a[k]); point
     // one at a node the site does not have.
-    assert!(record.contains("a[2]"), "{record}");
-    fs::write(&path, record.replace("a[2]", "a[99]")).unwrap();
+    assert!(records["s-1"].contains("a[2]"), "{}", records["s-1"]);
+    let tampered = records["s-1"].replace("a[2]", "a[99]");
+    records.insert("s-1".to_string(), tampered);
 
-    let mut m = reopen_single(dir.path()).unwrap();
+    let mut m = reopen_single(&records).unwrap();
     m.register_site("site0", site.clone(), Value::Object(vec![]));
     let reply = m.handle_json(&event_req("s-1", r#"{"type": "accept", "index": 0}"#));
     assert!(reply.contains(r#""code":"browser_error""#), "{reply}");
@@ -646,16 +662,11 @@ fn history_tampered_records_surface_as_browser_errors() {
 /// rejected as corrupt (it would otherwise silently impersonate).
 #[test]
 fn id_mismatched_records_are_rejected() {
-    let (dir, site) = flushed_store("tampered-id");
-    let path = dir.path().join("s-1.json");
-    let record = fs::read_to_string(&path).unwrap();
-    fs::write(
-        &path,
-        record.replace("\"session\":\"s-1\"", "\"session\":\"s-7\""),
-    )
-    .unwrap();
+    let (mut records, site) = flushed_records("tampered-id");
+    let tampered = records["s-1"].replace("\"session\":\"s-1\"", "\"session\":\"s-7\"");
+    records.insert("s-1".to_string(), tampered);
 
-    let mut m = reopen_single(dir.path()).unwrap();
+    let mut m = reopen_single(&records).unwrap();
     m.register_site("site0", site, Value::Object(vec![]));
     let reply = m.handle_json(&event_req("s-1", r#"{"type": "accept", "index": 0}"#));
     assert!(reply.contains(r#""code":"snapshot_corrupt""#), "{reply}");
@@ -664,16 +675,81 @@ fn id_mismatched_records_are_rejected() {
 /// A corrupt metadata record also fails the reopen fast and typed.
 #[test]
 fn corrupt_metadata_fails_reopen_with_a_typed_error() {
-    let (dir, _site) = flushed_store("tampered-meta");
-    fs::write(dir.path().join("shard-1-of-1.json"), "}{ not json").unwrap();
-    match reopen_single(dir.path()) {
+    let (mut records, _site) = flushed_records("tampered-meta");
+    records.insert("shard-1-of-1".to_string(), "}{ not json".to_string());
+    match reopen_single(&records) {
         Err(StoreError::Corrupt { key, .. }) => assert_eq!(key, "shard-1-of-1"),
         other => panic!("expected a corrupt-metadata error, got {other:?}"),
     }
 }
 
-/// Like [`flushed_store`], but on a [`SegmentStore`]: one mid-workflow
-/// session, drop-flushed (so the log ends in a COMMIT frame).
+/// A v1 session record as written before engine digests existed — with
+/// the re-synthesis schedule (`resynth`) those builds stored, and no
+/// `engine` — still decodes, restores through one full synthesis, and
+/// continues its task exactly like a session that was never stored.
+#[test]
+fn pre_digest_records_restore_and_continue_their_task() {
+    let (mut records, site) = flushed_records("pre-digest");
+    let Value::Object(fields) = parse_json(&records["s-1"]).unwrap() else {
+        panic!("session records are objects");
+    };
+    let stored = fields.len();
+    let mut fields: Vec<(String, Value)> = fields
+        .into_iter()
+        .filter(|(key, _)| key != "engine")
+        .collect();
+    assert_eq!(
+        fields.len(),
+        stored - 1,
+        "the stored record carried a digest"
+    );
+    fields.push((
+        "resynth".to_string(),
+        Value::Array(vec![Value::Int(1), Value::Int(2)]),
+    ));
+    records.insert("s-1".to_string(), Value::Object(fields).to_json());
+
+    let mut restored = reopen_single(&records).unwrap();
+    restored.register_site("site0", site.clone(), Value::Object(vec![]));
+    // The reference runs the same history and was never stored.
+    let mut reference = SessionManager::new(ServiceConfig::default());
+    reference.register_site("site0", site, Value::Object(vec![]));
+    reference.handle_json(&create_req(0));
+    for step in 1..=2 {
+        reference.handle_json(&event_req("s-1", &scrape_ev(step)));
+    }
+
+    let mut mode = "authorize".to_string();
+    let mut steps = 0;
+    while mode != "done" {
+        steps += 1;
+        assert!(steps < 64, "workflow did not converge");
+        let event = match mode.as_str() {
+            "authorize" => r#"{"type": "accept", "index": 0}"#,
+            "automate" => r#"{"type": "automate_step"}"#,
+            _ => r#"{"type": "finish"}"#,
+        };
+        let want = reference.handle_json(&event_req("s-1", event));
+        assert_eq!(restored.handle_json(&event_req("s-1", event)), want);
+        let reply = parse_json(&want).unwrap();
+        assert_eq!(
+            reply.field("status").and_then(Value::as_str),
+            Some("ok"),
+            "{want}"
+        );
+        mode = mode_of(&reply);
+    }
+    let outputs = Request::Outputs {
+        session: "s-1".to_string(),
+    }
+    .to_json();
+    let want = reference.handle_json(&outputs);
+    assert!(want.contains("item 6"), "the task ran to its end: {want}");
+    assert_eq!(restored.handle_json(&outputs), want);
+}
+
+/// One mid-workflow session on a [`SegmentStore`], drop-flushed (so the
+/// log ends in a COMMIT frame).
 fn flushed_segment_store(name: &str) -> (TempDir, Arc<webrobot::Site>) {
     let dir = TempDir::new(name);
     let site = anchor_site(6);
@@ -745,12 +821,15 @@ fn stale_manifests_fail_reopen_with_a_typed_error() {
     }
 }
 
-/// Opening a [`FileStore`]-layout directory as a [`SegmentStore`] migrates
-/// it in place: records import into the log, the loose `.json` files go
-/// away, and the session continues mid-workflow.
+/// Opening a directory of `<key>.json` record files — the layout earlier
+/// releases' default store wrote — as a [`SegmentStore`] migrates it in
+/// place: records import into the log, the loose `.json` files go away,
+/// and the session continues mid-workflow.
 #[test]
 fn filestore_layouts_migrate_into_the_segment_log_in_place() {
-    let (dir, site) = flushed_store("segment-migrate");
+    let (records, site) = flushed_records("segment-migrate-source");
+    let dir = TempDir::new("segment-migrate");
+    write_record_files(dir.path(), &records);
     let store = Box::new(SegmentStore::open(dir.path()).unwrap());
     assert!(dir.path().join("manifest.json").exists());
     assert!(
@@ -807,53 +886,42 @@ impl SnapshotStore for CountingStore {
     }
 }
 
-/// Incremental checkpoints are O(dirty): an idle checkpoint writes only
-/// the shard metadata, and touching one of three sessions re-writes
-/// exactly that one. The legacy full rewrite (`incremental_checkpoint:
-/// false`) writes every session every time.
+/// Checkpoints are O(dirty): an idle checkpoint writes only the shard
+/// metadata, and touching one of three sessions re-writes exactly that
+/// one.
 #[test]
 fn incremental_checkpoints_write_only_dirty_sessions() {
-    let site = anchor_site(6);
-    let run = |incremental: bool| {
-        let puts = Arc::new(AtomicUsize::new(0));
-        let store = Box::new(CountingStore {
-            inner: MemoryStore::new(),
-            puts: puts.clone(),
-        });
-        let cfg = ServiceConfig::builder()
-            .incremental_checkpoint(incremental)
-            .build()
-            .unwrap();
-        let mut m = SessionManager::with_store(cfg, store).unwrap();
-        m.register_site("site0", site.clone(), Value::Object(vec![]));
-        for _ in 0..3 {
-            let reply = m.handle_json(&create_req(0));
+    let puts = Arc::new(AtomicUsize::new(0));
+    let store = Box::new(CountingStore {
+        inner: MemoryStore::new(),
+        puts: puts.clone(),
+    });
+    let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
+    m.register_site("site0", anchor_site(6), Value::Object(vec![]));
+    for _ in 0..3 {
+        let reply = m.handle_json(&create_req(0));
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    }
+    for step in 1..=2 {
+        for s in 1..=3 {
+            let id = format!("s-{s}");
+            let reply = m.handle_json(&event_req(&id, &scrape_ev(step)));
             assert!(reply.contains(r#""status":"ok""#), "{reply}");
         }
-        for step in 1..=2 {
-            for s in 1..=3 {
-                let id = format!("s-{s}");
-                let reply = m.handle_json(&event_req(&id, &scrape_ev(step)));
-                assert!(reply.contains(r#""status":"ok""#), "{reply}");
-            }
-        }
+    }
 
-        puts.store(0, Ordering::SeqCst);
-        m.handle_json(r#"{"v": 1, "kind": "checkpoint"}"#);
-        let first = puts.swap(0, Ordering::SeqCst);
-        m.handle_json(r#"{"v": 1, "kind": "checkpoint"}"#);
-        let idle = puts.swap(0, Ordering::SeqCst);
-        let reply = m.handle_json(&event_req("s-2", r#"{"type": "accept", "index": 0}"#));
-        assert!(reply.contains(r#""status":"ok""#), "{reply}");
-        m.handle_json(r#"{"v": 1, "kind": "checkpoint"}"#);
-        let one_dirty = puts.swap(0, Ordering::SeqCst);
-        (first, idle, one_dirty)
-    };
+    puts.store(0, Ordering::SeqCst);
+    m.handle_json(r#"{"v": 1, "kind": "checkpoint"}"#);
+    let first = puts.swap(0, Ordering::SeqCst);
+    m.handle_json(r#"{"v": 1, "kind": "checkpoint"}"#);
+    let idle = puts.swap(0, Ordering::SeqCst);
+    let reply = m.handle_json(&event_req("s-2", r#"{"type": "accept", "index": 0}"#));
+    assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    m.handle_json(r#"{"v": 1, "kind": "checkpoint"}"#);
+    let one_dirty = puts.swap(0, Ordering::SeqCst);
 
-    // Incremental: 3 sessions + meta, then meta only, then 1 + meta.
-    assert_eq!(run(true), (4, 1, 2));
-    // Full rewrite: every checkpoint writes all 3 sessions + meta.
-    assert_eq!(run(false), (4, 4, 4));
+    // 3 sessions + meta, then meta only, then 1 + meta.
+    assert_eq!((first, idle, one_dirty), (4, 1, 2));
 }
 
 // ───────────────────── segment-log fuzz properties ─────────────────────

@@ -180,11 +180,14 @@ fn replay_interleaved(scripts: &[(Arc<webrobot::Site>, Vec<Step>)], eviction: Ev
         }
     }
 
-    let stats = manager.stats();
-    assert_eq!(stats.sessions_created as usize, scripts.len());
+    let stats = manager.stats_v2();
+    assert_eq!(stats.sessions.created as usize, scripts.len());
     match eviction {
-        EvictionMode::None => assert_eq!(stats.restores, 0, "no eviction expected"),
-        _ => assert!(stats.restores > 0, "eviction machinery was exercised"),
+        EvictionMode::None => assert_eq!(stats.residency.restores, 0, "no eviction expected"),
+        _ => assert!(
+            stats.residency.restores > 0,
+            "eviction machinery was exercised"
+        ),
     }
 }
 

@@ -3,7 +3,9 @@
 //! [`SessionManager`] for every request a sequential client can issue —
 //! creates (global `s-1, s-2, …` id sequence), events (valid and
 //! invalid), outputs, close, malformed JSON, unknown sessions — and its
-//! aggregated stats must equal the single manager's exactly.
+//! aggregated stats must equal the single manager's exactly, both in the
+//! `stats` group of every `metrics` probe and through the library
+//! accessor.
 //!
 //! The reference transcript is recorded once against the unsharded
 //! manager, then replayed verbatim against shard counts {1, 2, 4}. This
@@ -53,6 +55,19 @@ fn event_req(session: &str, event: Event) -> String {
     .to_json()
 }
 
+const METRICS: &str = r#"{"v":1,"kind":"metrics"}"#;
+
+/// The `stats` group of a `metrics` reply: the counters, which two
+/// deployments must agree on byte for byte (the rest of a scrape is
+/// timings).
+fn stats_group(reply: &str) -> String {
+    parse_json(reply)
+        .unwrap()
+        .field("stats")
+        .expect("metrics carry stats")
+        .to_json()
+}
+
 /// The mode a response reports, for mode-driven clients.
 fn mode_of(response: &str) -> Option<String> {
     parse_json(response)
@@ -65,7 +80,8 @@ fn mode_of(response: &str) -> Option<String> {
 /// Records the full reference transcript — `(request, response)` pairs —
 /// by driving N interleaved mode-driven sessions (with deliberate errors
 /// and cross-cutting stats/outputs probes mixed in) against the
-/// unsharded manager.
+/// unsharded manager. A stats probe is a `metrics` request logged with
+/// its reply's `stats` group.
 fn record_reference(
     sites: &[(String, Arc<Site>)],
     cfg: &ServiceConfig,
@@ -83,7 +99,12 @@ fn record_reference(
         request: String,
     ) -> String {
         let response = manager.handle_json(&request);
-        log.push((request, response.clone()));
+        let logged = if request == METRICS {
+            stats_group(&response)
+        } else {
+            response.clone()
+        };
+        log.push((request, logged));
         response
     }
 
@@ -123,7 +144,7 @@ fn record_reference(
     send(
         &mut manager,
         &mut log,
-        r#"{"v": 7, "kind": "stats"}"#.to_string(), // unsupported version
+        r#"{"v": 7, "kind": "metrics"}"#.to_string(), // unsupported version
     );
 
     // Round-robin the sessions through their full workflows.
@@ -189,11 +210,11 @@ fn record_reference(
             );
         }
         if with_stats_probes {
-            send(&mut manager, &mut log, Request::Stats.to_json());
+            send(&mut manager, &mut log, METRICS.to_string());
         }
         assert!(round < 64, "reference workflow did not converge");
     }
-    send(&mut manager, &mut log, Request::Stats.to_json());
+    send(&mut manager, &mut log, METRICS.to_string());
     log
 }
 
@@ -210,7 +231,10 @@ fn replay_sharded(
         manager.register_site(name, site.clone(), Value::Object(vec![]));
     }
     for (step, (request, want)) in transcript.iter().enumerate() {
-        let got = manager.handle_json(request);
+        let mut got = manager.handle_json(request);
+        if request == METRICS {
+            got = stats_group(&got);
+        }
         assert_eq!(
             &got, want,
             "shards={shards} diverged at step {step} on request: {request}"
@@ -220,7 +244,7 @@ fn replay_sharded(
 }
 
 /// Acceptance: with headroom (no eviction anywhere) the entire wire
-/// transcript — including interleaved `stats` probes — is byte-identical
+/// transcript — including interleaved stats probes — is byte-identical
 /// at shard counts {1, 2, 4}, and the aggregated stats equal the single
 /// manager's exactly.
 #[test]
@@ -244,9 +268,7 @@ fn sharded_replies_are_byte_identical_and_stats_aggregate_exactly() {
     assert!(transcript
         .iter()
         .any(|(_, r)| r.contains(r#""code":"invalid_prediction""#)));
-    assert!(transcript
-        .iter()
-        .any(|(_, r)| r.contains(r#""kind":"stats""#)));
+    assert!(transcript.iter().any(|(q, _)| q == METRICS));
     for shards in [1, 2, 4] {
         let sharded = replay_sharded(&sites, &cfg, &transcript, shards);
         // Typed aggregation matches the unsharded manager's final stats.
@@ -258,8 +280,8 @@ fn sharded_replies_are_byte_identical_and_stats_aggregate_exactly() {
             reference.handle_json(request);
         }
         assert_eq!(
-            sharded.stats(),
-            reference.stats(),
+            sharded.stats_v2(),
+            reference.stats_v2(),
             "stats must aggregate exactly at shards={shards}"
         );
     }
@@ -279,16 +301,19 @@ fn eviction_thrash_stays_unobservable_under_sharding() {
     };
     let transcript: Vec<(String, String)> = record_reference(&sites, &cfg, false)
         .into_iter()
-        .filter(|(request, _)| !request.contains(r#""kind":"stats""#))
+        .filter(|(request, _)| request != METRICS)
         .collect();
     for shards in [1, 2, 4] {
         let sharded = replay_sharded(&sites, &cfg, &transcript, shards);
         // Eviction-independent aggregates still match exactly.
-        let stats = sharded.stats();
-        assert_eq!(stats.sessions_created as usize, sites.len());
-        assert_eq!(stats.sessions_closed as usize, sites.len());
+        let stats = sharded.stats_v2();
+        assert_eq!(stats.sessions.created as usize, sites.len());
+        assert_eq!(stats.sessions.closed as usize, sites.len());
         if shards == 1 {
-            assert!(stats.restores > 0, "thrash exercised the eviction path");
+            assert!(
+                stats.residency.restores > 0,
+                "thrash exercised the eviction path"
+            );
         }
     }
 }

@@ -11,7 +11,7 @@
 //! within bounds of the uniform workload — is measured by the
 //! `service_latency` bench group and gated via `BENCH_service.json`.)
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +38,7 @@ fn scrape(session: &str, i: usize) -> Request {
 /// One shard, sliced aggressively so the heavy session parks often.
 fn cfg() -> ServiceConfig {
     ServiceConfig {
-        quantum: Some(Duration::from_micros(200)),
+        quantum: Duration::from_micros(200),
         ..ServiceConfig::default()
     }
 }
@@ -115,12 +115,12 @@ fn light_sessions_are_unaffected_by_a_pathological_shard_mate() {
     // reference run's, so the recorded request strings replay as-is.
     let (loaded, _light) = deployment();
     let stop = AtomicBool::new(false);
+    let hammered = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let hammer = {
             let loaded = &loaded;
-            let stop = &stop;
+            let (stop, hammered) = (&stop, &hammered);
             scope.spawn(move || {
-                let mut events = 0usize;
                 // Growing demonstrations over the 40-anchor page keep
                 // each synthesis call expensive.
                 for i in (1..=39).step_by(2).cycle() {
@@ -129,11 +129,16 @@ fn light_sessions_are_unaffected_by_a_pathological_shard_mate() {
                     }
                     let reply = loaded.handle(scrape("s-1", i));
                     assert!(!reply.to_json().contains("internal"), "{}", reply.to_json());
-                    events += 1;
+                    hammered.fetch_add(1, Ordering::SeqCst);
                 }
-                events
             })
         };
+        // The light requests start once the hammer is through its first
+        // request, so they always meet the contention they are about (a
+        // late-scheduled hammer thread must not leave the shard idle).
+        while hammered.load(Ordering::SeqCst) == 0 && !hammer.is_finished() {
+            std::thread::yield_now();
+        }
         for (k, request) in requests.iter().enumerate() {
             let got = loaded.handle_json(request);
             assert_eq!(
@@ -142,7 +147,10 @@ fn light_sessions_are_unaffected_by_a_pathological_shard_mate() {
             );
         }
         stop.store(true, Ordering::SeqCst);
-        let hammered = hammer.join().unwrap();
-        assert!(hammered > 0, "the hammer never got a request through");
+        hammer.join().unwrap();
+        assert!(
+            hammered.load(Ordering::SeqCst) > 0,
+            "the hammer never got a request through"
+        );
     });
 }

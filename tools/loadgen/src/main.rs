@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! loadgen [--rate RPS] [--duration SECS] [--conns N]
-//!         [--backend file|segment] [--server PATH] [--out PATH]
+//!         [--server PATH] [--out PATH]
 //!         [--workload anchors|generated:<seed>] [--skip-resilience]
 //! ```
 //!
@@ -17,8 +17,8 @@
 //!
 //! Each connection drives its own sessions through a scripted
 //! create → demonstrate ×2 → accept → outputs → close loop on the
-//! built-in `anchors` site, with `stats` and `metrics` scrapes mixed in
-//! (1/8 of ticks). `--workload generated:<seed>` swaps the anchor script
+//! built-in `anchors` site, with `metrics` scrapes mixed in (1/8 of
+//! ticks). `--workload generated:<seed>` swaps the anchor script
 //! for the procedural benchmark families (`webrobot_benchmarks::gen`):
 //! the server is spawned with `--gen-sites <seed>`, and each connection
 //! cycles through one session per family, demonstrating a prefix of the
@@ -72,7 +72,6 @@ struct Options {
     rate: u64,
     duration_s: u64,
     conns: usize,
-    backend: String,
     server: Option<PathBuf>,
     out: PathBuf,
     workload: Workload,
@@ -80,7 +79,7 @@ struct Options {
 }
 
 const USAGE: &str = "usage: loadgen [--rate RPS] [--duration SECS] [--conns N] \
-                     [--backend file|segment] [--server PATH] [--out PATH] \
+                     [--server PATH] [--out PATH] \
                      [--workload anchors|generated:<seed>] [--skip-resilience]";
 
 fn positive(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<u64, String> {
@@ -95,7 +94,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         rate: 200,
         duration_s: 3,
         conns: 8,
-        backend: "file".to_string(),
         server: None,
         out: PathBuf::from("BENCH_load.json"),
         workload: Workload::Anchors,
@@ -107,15 +105,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--rate" => opts.rate = positive(&mut it, "--rate")?,
             "--duration" => opts.duration_s = positive(&mut it, "--duration")?,
             "--conns" => opts.conns = positive(&mut it, "--conns")? as usize,
-            "--backend" => {
-                let backend = it.next().ok_or("--backend needs a value")?;
-                if backend != "file" && backend != "segment" {
-                    return Err(format!(
-                        "unknown backend '{backend}' (expected file|segment)"
-                    ));
-                }
-                opts.backend = backend.clone();
-            }
             "--server" => {
                 opts.server = Some(PathBuf::from(it.next().ok_or("--server needs a path")?))
             }
@@ -168,7 +157,6 @@ fn spawn_server(
     exe: &Path,
     shards: usize,
     store: Option<&Path>,
-    backend: &str,
     workload: Workload,
 ) -> Result<(std::process::Child, String), String> {
     use std::io::BufRead as _;
@@ -176,7 +164,7 @@ fn spawn_server(
     let mut cmd = std::process::Command::new(exe);
     cmd.args(["--addr", "127.0.0.1:0", "--shards", &shards.to_string()]);
     if let Some(dir) = store {
-        cmd.arg("--store").arg(dir).args(["--backend", backend]);
+        cmd.arg("--store").arg(dir);
     }
     if let Workload::Generated { seed } = workload {
         cmd.args(["--gen-sites", &seed.to_string()]);
@@ -382,13 +370,13 @@ fn open_loop(
                     } else if elapsed > due + LATE_BY {
                         local.late_ticks += 1;
                     }
-                    // 1/8 of ticks scrape instead of advancing the
-                    // session script: half `metrics`, half `stats`.
-                    let scrape = matches!(tick % 16, 7 | 15);
-                    let request = match tick % 16 {
-                        7 => r#"{"v": 1, "kind": "metrics"}"#.to_string(),
-                        15 => r#"{"v": 1, "kind": "stats"}"#.to_string(),
-                        _ => script.next_request(),
+                    // 1/8 of ticks scrape `metrics` instead of advancing
+                    // the session script.
+                    let scrape = tick % 8 == 7;
+                    let request = if scrape {
+                        r#"{"v": 1, "kind": "metrics"}"#.to_string()
+                    } else {
+                        script.next_request()
                     };
                     let sent = Instant::now();
                     let reply = client.call(&request).map_err(|e| format!("call: {e}"))?;
@@ -497,7 +485,7 @@ fn measure_shards(
     shards: usize,
     plans: &[SitePlan],
 ) -> Result<(RunReport, Duration, i64), String> {
-    let (mut child, addr) = spawn_server(exe, shards, None, &opts.backend, opts.workload)?;
+    let (mut child, addr) = spawn_server(exe, shards, None, opts.workload)?;
     let started = Instant::now();
     let run = open_loop(
         &addr,
@@ -545,7 +533,7 @@ fn resilience(exe: &Path, opts: &Options, plans: &[SitePlan]) -> Result<Resilien
 
     // First life: background load, then a ledger session that is
     // explicitly checkpointed — its outputs are the loss oracle.
-    let (mut child, addr) = spawn_server(exe, 2, Some(&dir), &opts.backend, opts.workload)?;
+    let (mut child, addr) = spawn_server(exe, 2, Some(&dir), opts.workload)?;
     let phase = Duration::from_secs(opts.duration_s.div_ceil(2));
     let mut run = open_loop(&addr, opts.rate, phase, opts.conns, plans)?;
 
@@ -594,7 +582,7 @@ fn resilience(exe: &Path, opts: &Options, plans: &[SitePlan]) -> Result<Resilien
     child.wait().map_err(|e| format!("reap server: {e}"))?;
 
     // Second life: everything the checkpoint committed must be there.
-    let (mut child, addr) = spawn_server(exe, 2, Some(&dir), &opts.backend, opts.workload)?;
+    let (mut child, addr) = spawn_server(exe, 2, Some(&dir), opts.workload)?;
     let mut post_restart_errors = 0i64;
     let mut sessions_lost = 0i64;
     let verdict = (|| -> Result<(), String> {
@@ -646,8 +634,8 @@ fn run(opts: &Options) -> Result<bool, String> {
     let plans = build_plans(opts.workload);
 
     println!(
-        "loadgen: open loop at {} req/s for {}s over {} connections ({} backend, {:?} workload)",
-        opts.rate, opts.duration_s, opts.conns, opts.backend, opts.workload
+        "loadgen: open loop at {} req/s for {}s over {} connections ({:?} workload)",
+        opts.rate, opts.duration_s, opts.conns, opts.workload
     );
     let (mut shards4, wall4, rss4) = measure_shards(&exe, opts, 4, &plans)?;
     let (mut shards1, wall1, _) = measure_shards(&exe, opts, 1, &plans)?;
