@@ -86,9 +86,12 @@ impl Error for BrowserError {}
 
 /// A live browser session over a [`Site`].
 ///
-/// The browser owns a mutable working copy of the current page's DOM (so
-/// data entry mutates the page), a history stack for `GoBack`, and the list
-/// of scraped [`Output`]s.
+/// The browser holds the current page's DOM, a history stack for `GoBack`,
+/// and the list of scraped [`Output`]s. The DOM is copy-on-write: loading a
+/// page shares the site's `Arc<Dom>`, and data entry copies it before the
+/// first write ([`Arc::make_mut`]). The site always holds its own
+/// reference, so neither a site page nor an earlier
+/// [`snapshot`](Browser::snapshot) is ever written in place.
 ///
 /// # Example
 ///
@@ -111,7 +114,7 @@ pub struct Browser {
     site: Arc<Site>,
     input: Value,
     current: PageId,
-    dom: Dom,
+    dom: Arc<Dom>,
     history: Vec<PageId>,
     outputs: Vec<Output>,
 }
@@ -120,7 +123,7 @@ impl Browser {
     /// Opens a browser on the site's start page.
     pub fn new(site: Arc<Site>, input: Value) -> Browser {
         let current = site.start();
-        let dom = site.dom(current).as_ref().clone();
+        let dom = Arc::clone(site.dom(current));
         Browser {
             site,
             input,
@@ -136,9 +139,13 @@ impl Browser {
         &self.dom
     }
 
-    /// A shareable snapshot of the current live DOM.
+    /// A shareable snapshot of the current live DOM: a reference-count
+    /// bump, not a copy. Until data entry writes to the page it is the
+    /// site's own page DOM, so every session on the site shares it (and
+    /// its resolution cache); later writes copy first and never reach a
+    /// snapshot already taken.
     pub fn snapshot(&self) -> Arc<Dom> {
-        Arc::new(self.dom.clone())
+        Arc::clone(&self.dom)
     }
 
     /// The current page's URL.
@@ -169,7 +176,7 @@ impl Browser {
 
     fn load(&mut self, page: PageId) {
         self.current = page;
-        self.dom = self.site.dom(page).as_ref().clone();
+        self.dom = Arc::clone(self.site.dom(page));
     }
 
     fn resolve(&self, path: &Path, action: &Action) -> Result<NodeId, BrowserError> {
@@ -226,7 +233,7 @@ impl Browser {
             }
             Action::SendKeys(p, text) => {
                 let node = self.resolve(p, action)?;
-                self.dom.set_attr(node, "value", text.clone());
+                Arc::make_mut(&mut self.dom).set_attr(node, "value", text.clone());
                 Ok(())
             }
             Action::EnterData(p, vpath) => {
@@ -238,7 +245,7 @@ impl Browser {
                         path: vpath.to_string(),
                     })?;
                 let rendered = value.render();
-                self.dom.set_attr(node, "value", rendered);
+                Arc::make_mut(&mut self.dom).set_attr(node, "value", rendered);
                 Ok(())
             }
         }
@@ -411,6 +418,53 @@ mod tests {
             .perform(&Action::EnterData(p("//input[1]"), path))
             .unwrap_err();
         assert!(matches!(err, BrowserError::MissingInput { .. }));
+    }
+
+    fn field_value(dom: &Dom) -> Option<&str> {
+        dom.attr(dom.all_nodes()[1], "value")
+    }
+
+    #[test]
+    fn data_entry_never_writes_a_shared_dom() {
+        let site = search_site();
+        let home = site.start();
+        let mut browser = Browser::new(site.clone(), zips_input());
+        let before = browser.snapshot();
+        browser
+            .perform(&Action::SendKeys(p("//input[1]"), "tmp".into()))
+            .unwrap();
+        assert_eq!(field_value(browser.dom()), Some("tmp"));
+        let typed = browser.snapshot();
+        let path = ValuePath::new(vec![PathSeg::key("zips"), PathSeg::Index(1)]);
+        browser
+            .perform(&Action::EnterData(p("//input[1]"), path))
+            .unwrap();
+        assert_eq!(field_value(browser.dom()), Some("48105"));
+        // Earlier snapshots keep what they showed when they were taken.
+        assert_eq!(field_value(&before), Some(""));
+        assert_eq!(field_value(&typed), Some("tmp"));
+        // The site's page is untouched, so a second session starts empty.
+        assert_eq!(field_value(site.dom(home)), Some(""));
+        let other = Browser::new(site.clone(), zips_input());
+        assert_eq!(field_value(other.dom()), Some(""));
+    }
+
+    #[test]
+    fn reads_and_navigation_share_the_site_pages() {
+        let site = search_site();
+        let mut browser = Browser::new(site.clone(), zips_input());
+        assert!(Arc::ptr_eq(&browser.snapshot(), site.dom(browser.page())));
+        browser
+            .perform(&Action::SendKeys(p("//input[1]"), "48105".into()))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&browser.snapshot(), site.dom(browser.page())));
+        browser.perform(&Action::Click(p("//button[1]"))).unwrap();
+        assert!(Arc::ptr_eq(&browser.snapshot(), site.dom(browser.page())));
+        browser.perform(&Action::ScrapeText(p("//h3[1]"))).unwrap();
+        browser.perform(&Action::ExtractUrl).unwrap();
+        assert!(Arc::ptr_eq(&browser.snapshot(), site.dom(browser.page())));
+        browser.perform(&Action::GoBack).unwrap();
+        assert!(Arc::ptr_eq(&browser.snapshot(), site.dom(site.start())));
     }
 
     #[test]

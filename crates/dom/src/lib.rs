@@ -42,5 +42,5 @@ pub use error::{DomError, PathParseError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use html::{parse_html, to_html};
 pub use intern::{PathId, PathInterner, PredId, StepId};
-pub use node::{Dom, DomBuilder, NodeId};
+pub use node::{resolve_counters, Dom, DomBuilder, NodeId};
 pub use path::{Axis, Path, Pred, Step};

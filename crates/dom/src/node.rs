@@ -1,8 +1,8 @@
 //! Arena-based DOM trees.
 
 use crate::fxhash::FxHashMap;
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::path::{Path, Pred, Step};
@@ -13,31 +13,53 @@ use crate::path::{Path, Pred, Step};
 /// revisit a working set far below this bound.
 const RESOLVE_CACHE_CAP: usize = 4096;
 
+thread_local! {
+    /// This thread's monotonic resolution-cache `(hits, misses)`.
+    static RESOLVE_COUNTERS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// This thread's monotonic `(hits, misses)` resolution-cache counters,
+/// summed over every [`Dom`] it resolved against (see [`Path::resolve`]).
+///
+/// Callers sample before and after a region and subtract. The counters
+/// are per thread rather than per DOM because page DOMs are shared: one
+/// `Arc<Dom>` appears many times in a trace and is resolved against by
+/// every session on its page, on any shard thread. A region that runs on
+/// one thread from start to finish (a synthesis call or quantum) gets an
+/// exact delta no matter what other threads resolve concurrently.
+pub fn resolve_counters() -> (u64, u64) {
+    RESOLVE_COUNTERS.with(Cell::get)
+}
+
+fn count_resolution(hit: bool) {
+    RESOLVE_COUNTERS.with(|c| {
+        let (hits, misses) = c.get();
+        c.set(if hit {
+            (hits + 1, misses)
+        } else {
+            (hits, misses + 1)
+        });
+    });
+}
+
 /// Interior-mutable memo of root-based path resolutions on one [`Dom`].
 ///
 /// Semantically invisible: cloning a DOM starts an empty cache, equality
 /// ignores it, and every `&mut self` mutator clears it (resolution is a
 /// pure function of the tree, so cached entries are valid exactly until
 /// the tree changes). A `Mutex` rather than a `RefCell` keeps `Dom`
-/// `Send + Sync`; snapshots are resolved by one shard thread at a time,
-/// so the lock is uncontended in practice.
+/// `Send + Sync`. A site's page DOMs are shared through `Arc<Dom>` by
+/// every session on that site, so the cache belongs to the page: any
+/// shard thread may fill or probe it, each holding the lock for one
+/// hash-map operation.
 struct ResolveCache {
     map: Mutex<FxHashMap<Path, Option<NodeId>>>,
-    /// Monotonic per-DOM hit/miss counters. Living inside the cache (not
-    /// in process-wide statics) keeps deltas exact when several shards
-    /// synthesize concurrently: each session resolves only against its
-    /// own snapshots, so sampling the snapshots' counters attributes
-    /// every resolution to the right session.
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResolveCache {
     fn new() -> ResolveCache {
         ResolveCache {
             map: Mutex::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -127,9 +149,10 @@ pub(crate) struct Node {
 
 /// A DOM snapshot: an arena of element nodes rooted at [`NodeId::ROOT`].
 ///
-/// `Dom` values are immutable from the synthesizer's point of view; the
-/// website simulator mutates a working copy and snapshots it (cheaply shared
-/// through `Arc<Dom>`) into the recorded DOM trace Π.
+/// `Dom` values are immutable from the synthesizer's point of view. The
+/// website simulator shares each page's DOM through `Arc<Dom>` and copies
+/// it only when data entry writes to it, so the recorded DOM trace Π holds
+/// the site's own pages wherever the user only read or navigated.
 ///
 /// # Example
 ///
@@ -169,32 +192,20 @@ impl Dom {
     /// guards, validation and ranking resolve the same few selectors on
     /// the same snapshot over and over, so after the first walk each
     /// re-check is a hash probe. Falls back to the plain walk (uncached)
-    /// once the cache is at capacity.
+    /// once the cache is at capacity. Counts a hit or a miss on this
+    /// thread's [`resolve_counters`].
     pub(crate) fn resolve_cached(&self, path: &Path) -> Option<NodeId> {
         if path.is_empty() {
             return Some(NodeId::ROOT);
         }
         if let Some(hit) = self.cache.get(path) {
-            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            count_resolution(true);
             return hit;
         }
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
+        count_resolution(false);
         let resolved = path.resolve_from(self, NodeId::ROOT);
         self.cache.insert(path, resolved);
         resolved
-    }
-
-    /// Snapshot of this DOM's monotonic `(hits, misses)` resolution-cache
-    /// counters (see [`Path::resolve`]). Callers sample before/after a
-    /// region and subtract; because the counters live on the DOM rather
-    /// than in process-wide statics, the deltas stay exact even when
-    /// other threads resolve against *their* snapshots concurrently.
-    /// Clones start from zero, like the cache itself.
-    pub fn resolve_cache_counters(&self) -> (u64, u64) {
-        (
-            self.cache.hits.load(Ordering::Relaxed),
-            self.cache.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Number of nodes in the arena.

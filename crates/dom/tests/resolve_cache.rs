@@ -5,7 +5,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use webrobot_dom::{Axis, Dom, NodeId, Path, Pred, Step};
+use webrobot_dom::{resolve_counters, Axis, Dom, NodeId, Path, Pred, Step};
 
 const TAGS: [&str; 4] = ["div", "span", "a", "h3"];
 
@@ -115,6 +115,12 @@ proptest! {
     }
 }
 
+/// This thread's resolution counters since `base`.
+fn counted_since(base: (u64, u64)) -> (u64, u64) {
+    let (hits, misses) = resolve_counters();
+    (hits - base.0, misses - base.1)
+}
+
 #[test]
 fn repeat_resolution_hits_the_cache() {
     let mut dom = Dom::new("html");
@@ -123,23 +129,41 @@ fn repeat_resolution_hits_the_cache() {
         dom.append(body, "div");
     }
     let path: Path = "/body[1]/div[2]".parse().unwrap();
-    assert_eq!(dom.resolve_cache_counters(), (0, 0));
+    let base = resolve_counters();
     let first = path.resolve(&dom);
     let second = path.resolve(&dom);
     assert_eq!(first, second);
     assert!(first.is_some());
-    // Counters are per-DOM and monotonic: exactly one miss (the fill)
+    // Counters are per-thread and monotonic: exactly one miss (the fill)
     // and one hit (the re-resolve), regardless of other threads.
-    assert_eq!(dom.resolve_cache_counters(), (1, 1));
+    assert_eq!(counted_since(base), (1, 1));
+    // Uncached walks and the empty path never touch the cache.
+    path.resolve_uncached(&dom);
+    Path::root().resolve(&dom);
+    assert_eq!(counted_since(base), (1, 1));
     // Mutation invalidates the map; the next resolve is a miss again.
     dom.append(body, "div");
     path.resolve(&dom);
-    assert_eq!(dom.resolve_cache_counters(), (1, 2));
-    // A clone starts cold, with fresh counters.
+    assert_eq!(counted_since(base), (1, 2));
+    // A clone starts cold: its first resolve misses even though the
+    // original's cache is warm.
     let clone = dom.clone();
-    assert_eq!(clone.resolve_cache_counters(), (0, 0));
     path.resolve(&clone);
     path.resolve(&clone);
-    assert_eq!(clone.resolve_cache_counters(), (1, 1));
-    assert_eq!(dom.resolve_cache_counters(), (1, 2));
+    assert_eq!(counted_since(base), (2, 3));
+    // A DOM shared through an `Arc` shares its cache: a resolve on
+    // another thread warms it for this one, and is counted there.
+    let shared = std::sync::Arc::new(clone);
+    let other = std::sync::Arc::clone(&shared);
+    let elsewhere = std::thread::spawn(move || {
+        let base = resolve_counters();
+        "/body[1]/div[3]".parse::<Path>().unwrap().resolve(&other);
+        counted_since(base)
+    })
+    .join()
+    .unwrap();
+    assert_eq!(elsewhere, (0, 1));
+    assert_eq!(counted_since(base), (2, 3));
+    "/body[1]/div[3]".parse::<Path>().unwrap().resolve(&shared);
+    assert_eq!(counted_since(base), (3, 3));
 }

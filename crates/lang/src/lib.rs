@@ -49,7 +49,7 @@ mod vars;
 
 pub use action::{Action, ActionKind};
 pub use intern::{SelectorId, SelectorInterner, StatementInterner, StmtId};
-pub use parse::{parse_program, ParseError};
+pub use parse::{parse_program, ParseError, MAX_PROGRAM_DEPTH};
 pub use program::{ForeachSel, ForeachVal, Program, Statement, While};
 pub use selector::{CollectionKind, SelBase, Selector, SelectorList};
 pub use valuepath::{ValuePathExpr, ValuePathList, VpBase};

@@ -58,12 +58,21 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// The deepest loop nesting [`parse_program`] accepts. The parser recurses
+/// once per `foreach`/`while` body, and programs are parsed out of store
+/// records, so without a bound one hostile record (100,000 nested
+/// `while true do {`) overflows the stack and aborts the process; past
+/// the cap parsing fails with a [`ParseError`] instead. Synthesized
+/// programs nest a few levels, so 64 leaves ample headroom.
+pub const MAX_PROGRAM_DEPTH: usize = 64;
+
 /// Parses a program in the language's textual form.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError`] on syntax errors, including a `while` block whose
-/// last statement is not a `Click`.
+/// last statement is not a `Click`, and on loops nested deeper than
+/// [`MAX_PROGRAM_DEPTH`].
 ///
 /// # Example
 ///
@@ -75,7 +84,11 @@ impl Error for ParseError {}
 /// # Ok::<(), webrobot_lang::ParseError>(())
 /// ```
 pub fn parse_program(input: &str) -> Result<Program, ParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let statements = p.parse_statements(false)?;
     p.skip_ws();
     if p.pos != input.len() {
@@ -87,6 +100,8 @@ pub fn parse_program(input: &str) -> Result<Program, ParseError> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Loops currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -183,10 +198,27 @@ impl<'a> Parser<'a> {
                 self.expect(")")?;
                 Ok(Statement::EnterData(sel, vp))
             }
-            "foreach" => self.parse_foreach(),
-            "while" => self.parse_while(),
+            "foreach" => self.nested(Self::parse_foreach),
+            "while" => self.nested(Self::parse_while),
             other => Err(self.err(format!("unknown statement '{other}'"))),
         }
+    }
+
+    /// Runs `parse` on a loop one nesting level deeper, refusing to go
+    /// past [`MAX_PROGRAM_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Statement, ParseError>,
+    ) -> Result<Statement, ParseError> {
+        if self.depth == MAX_PROGRAM_DEPTH {
+            return Err(self.err(format!(
+                "loops nested deeper than {MAX_PROGRAM_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let stmt = parse(self);
+        self.depth -= 1;
+        stmt
     }
 
     fn parse_foreach(&mut self) -> Result<Statement, ParseError> {
@@ -430,6 +462,33 @@ foreach %v0 in ValuePaths(x[zips]) do {
     fn reports_unknown_statement() {
         let err = parse_program("Frobnicate(//a[1])").unwrap_err();
         assert!(err.to_string().contains("Frobnicate"));
+    }
+
+    /// `depth` nested `while` loops, each body ending in the required
+    /// `Click`.
+    fn nested_whiles(depth: usize) -> String {
+        "while true do {\n".repeat(depth) + "Click(//a[1])" + &"\n}\nClick(//a[1])".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses() {
+        let p = parse_program(&nested_whiles(MAX_PROGRAM_DEPTH)).unwrap();
+        assert_eq!(p.loop_depth(), MAX_PROGRAM_DEPTH);
+        assert_eq!(parse_program(&p.to_string()).unwrap(), p);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let src = nested_whiles(MAX_PROGRAM_DEPTH + 1);
+        let err = parse_program(&src).unwrap_err();
+        assert!(err.to_string().contains("nested deeper than 64"), "{err}");
+        // The error points at the first loop past the cap.
+        let first_past = "while true do {\n".len() * MAX_PROGRAM_DEPTH;
+        assert_eq!(err.position(), first_past);
+        // 100,000 open loops fail the same way instead of exhausting the
+        // stack.
+        let err = parse_program(&"while true do {".repeat(100_000)).unwrap_err();
+        assert_eq!(err.position(), "while true do {".len() * MAX_PROGRAM_DEPTH);
     }
 
     #[test]

@@ -705,10 +705,12 @@ impl SessionManager {
     /// is already evicted. The session transparently restores on its next
     /// event.
     ///
-    /// When a store is attached the serialized snapshot is also spilled
-    /// to it (best effort — the in-memory snapshot stays authoritative,
-    /// and the next `checkpoint` retries any failed write), so an evicted
-    /// session is durable the moment it goes cold.
+    /// When a store is attached the serialized snapshot of a dirty
+    /// session is also spilled to it (best effort — the in-memory
+    /// snapshot stays authoritative, and the next `checkpoint` retries any
+    /// failed write), so an evicted session is durable the moment it goes
+    /// cold. A clean session's record already holds this state (say, one
+    /// restored only to answer `outputs`), so its eviction writes nothing.
     pub fn evict(&mut self, id: SessionId) -> bool {
         let Some(tracked) = self.sessions.get_mut(&id.0) else {
             return false;
@@ -724,9 +726,7 @@ impl SessionManager {
         }
         let started = Instant::now();
         let snapshot = session.snapshot();
-        let record = self
-            .store
-            .is_some()
+        let record = (self.store.is_some() && tracked.dirty)
             .then(|| persist::encode_session(id.0, &tracked.site, tracked.deadline_ms, &snapshot));
         tracked.slot = Slot::Evicted {
             snapshot: Box::new(snapshot),

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use std::time::{Duration, Instant};
-use webrobot_dom::{Dom, FxHashSet};
+use webrobot_dom::{resolve_counters, Dom, FxHashSet};
 
 use webrobot_lang::{Action, Program, Statement, StmtId};
 use webrobot_semantics::{action_consistent, generalizes, Stepper, Trace};
@@ -52,10 +52,10 @@ pub struct SynthStats {
     /// no programs or predictions; call `synthesize_quantum` again to
     /// continue.
     pub parked: bool,
-    /// DOM resolution-cache hits during the call, summed over the
-    /// trace's snapshots (per-DOM counters — see
-    /// [`Dom::resolve_cache_counters`] — so the delta is exact per
-    /// session even when other shards synthesize concurrently).
+    /// DOM resolution-cache hits during the call, counted on the calling
+    /// thread (see [`webrobot_dom::resolve_counters`]), so the count is
+    /// exact per session even when other shards synthesize concurrently
+    /// over the same shared page DOMs.
     pub resolve_hits: u64,
     /// DOM resolution-cache misses (full walks) during the call.
     pub resolve_misses: u64,
@@ -407,12 +407,12 @@ impl Synthesizer {
     /// the new actions.
     pub fn synthesize_until(&mut self, deadline: Instant) -> SynthResult {
         let started = Instant::now();
-        let (hits0, misses0) = self.resolve_counters();
+        let (hits0, misses0) = resolve_counters();
         let mut stats = SynthStats::default();
 
         if !self.begin_search(&mut stats) {
             stats.elapsed = started.elapsed();
-            self.finish_resolve_stats(&mut stats, hits0, misses0);
+            Self::finish_resolve_stats(&mut stats, hits0, misses0);
             return self.rank(stats);
         }
 
@@ -442,7 +442,7 @@ impl Synthesizer {
         // (the next call re-runs the prelude, as it always has).
         self.searching = false;
         stats.elapsed = started.elapsed();
-        self.finish_resolve_stats(&mut stats, hits0, misses0);
+        Self::finish_resolve_stats(&mut stats, hits0, misses0);
         self.rank(stats)
     }
 
@@ -469,12 +469,12 @@ impl Synthesizer {
     /// of parking forever.
     pub fn synthesize_quantum(&mut self, budget: Duration) -> SynthResult {
         let started = Instant::now();
-        let (hits0, misses0) = self.resolve_counters();
+        let (hits0, misses0) = resolve_counters();
         let mut stats = SynthStats::default();
 
         if !self.begin_search(&mut stats) {
             stats.elapsed = started.elapsed();
-            self.finish_resolve_stats(&mut stats, hits0, misses0);
+            Self::finish_resolve_stats(&mut stats, hits0, misses0);
             return self.rank(stats);
         }
 
@@ -513,7 +513,7 @@ impl Synthesizer {
 
         self.search_spent += started.elapsed();
         stats.elapsed = started.elapsed();
-        self.finish_resolve_stats(&mut stats, hits0, misses0);
+        Self::finish_resolve_stats(&mut stats, hits0, misses0);
         if stats.parked {
             return SynthResult {
                 programs: Vec::new(),
@@ -606,24 +606,12 @@ impl Synthesizer {
         self.processed.push(item);
     }
 
-    /// Sums the per-DOM resolution-cache counters over the trace's
-    /// snapshots. Every resolution during synthesis targets a trace DOM,
-    /// and snapshots are never shared across sessions, so before/after
-    /// deltas of this sum attribute hits and misses exactly to this
-    /// synthesizer even when other shards resolve concurrently.
-    fn resolve_counters(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for dom in self.ctx.trace().doms() {
-            let (h, m) = dom.resolve_cache_counters();
-            hits += h;
-            misses += m;
-        }
-        (hits, misses)
-    }
-
-    fn finish_resolve_stats(&self, stats: &mut SynthStats, hits0: u64, misses0: u64) {
-        let (hits, misses) = self.resolve_counters();
+    /// Sets the call's resolution-cache stats to this thread's counter
+    /// delta since `(hits0, misses0)`. A call never leaves its thread, so
+    /// the delta is exact even while other shards resolve against the
+    /// same shared page DOMs.
+    fn finish_resolve_stats(stats: &mut SynthStats, hits0: u64, misses0: u64) {
+        let (hits, misses) = resolve_counters();
         stats.resolve_hits = hits - hits0;
         stats.resolve_misses = misses - misses0;
     }

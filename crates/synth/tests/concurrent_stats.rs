@@ -3,13 +3,15 @@
 //! The resolution-cache hit/miss counters used to live in process-wide
 //! statics and were deltaed per synthesis call; with two shards
 //! synthesizing concurrently the deltas raced and misattributed counts
-//! across sessions. The counters are per-[`Dom`] now, so each call's
-//! delta must be exact no matter what other threads are doing — which is
-//! what this test pins: two synthesizers hammered from two threads (the
-//! shape of a two-shard service) must report, call for call, the same
-//! resolution stats as an isolated sequential baseline.
+//! across sessions. The counters are per-thread now, and a synthesis call
+//! never leaves its thread, so each call's delta must be exact no matter
+//! what other threads are doing — which is what this test pins: two
+//! synthesizers hammered from two threads (the shape of a two-shard
+//! service) must report, call for call, the same resolution stats as an
+//! isolated sequential baseline, also when both resolve against one
+//! shared page DOM.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -28,7 +30,12 @@ fn anchors(n: usize) -> Arc<Dom> {
 /// already performed. `stride` varies the selector shape per session so
 /// the two sessions do different amounts of resolution work.
 fn scrape_trace(demonstrated: usize, total: usize, stride: usize) -> Trace {
-    let dom = anchors(total);
+    scrape_trace_on(anchors(total), demonstrated, stride)
+}
+
+/// [`scrape_trace`] over a given page: every DOM in the trace is `dom`
+/// itself, as when a session only reads the site's shared page.
+fn scrape_trace_on(dom: Arc<Dom>, demonstrated: usize, stride: usize) -> Trace {
     let mut t = Trace::new(dom.clone(), Value::Object(vec![]));
     for i in 0..demonstrated {
         let idx = 1 + i * stride;
@@ -43,7 +50,11 @@ fn scrape_trace(demonstrated: usize, total: usize, stride: usize) -> Trace {
 /// One session's workload: synthesize over a growing demonstration and
 /// collect the per-call `(hits, misses)` deltas.
 fn drive(stride: usize) -> Vec<(u64, u64)> {
-    let full = scrape_trace(4, 16, stride);
+    drive_trace(&scrape_trace(4, 16, stride))
+}
+
+/// [`drive`] over a given four-action demonstration.
+fn drive_trace(full: &Trace) -> Vec<(u64, u64)> {
     let mut synth = Synthesizer::new(SynthConfig::default(), full.prefix(2));
     let mut stats = Vec::new();
     for k in 2..=4 {
@@ -119,4 +130,45 @@ fn quantum_slicing_reports_the_same_resolve_totals() {
     // sliced search does the same resolutions, just in pieces.
     assert_eq!(drive_quantum(1), drive(1));
     assert_eq!(drive_quantum(3), drive(3));
+}
+
+/// Per-call resolution totals (`hits + misses`) of [`drive_trace`] over
+/// a demonstration on `page`.
+fn totals_on(page: &Arc<Dom>, stride: usize) -> Vec<u64> {
+    drive_trace(&scrape_trace_on(page.clone(), 4, stride))
+        .iter()
+        .map(|&(hits, misses)| hits + misses)
+        .collect()
+}
+
+#[test]
+fn sessions_sharing_one_page_report_exact_resolution_totals() {
+    // Per-DOM counters could not attribute this case: both sessions
+    // resolve against one `Arc<Dom>`, so each would count the other's
+    // resolutions. With the page's cache shared, the split between hits
+    // and misses depends on which thread warmed the page first, but each
+    // call still resolves exactly as often as it does alone.
+    let baseline_a = totals_on(&anchors(16), 1);
+    let baseline_b = totals_on(&anchors(16), 3);
+    assert!(baseline_a.iter().any(|&n| n > 0));
+    for _ in 0..8 {
+        let page = anchors(16);
+        let start = Arc::new(Barrier::new(2));
+        let session = |stride: usize| {
+            let (page, start) = (page.clone(), start.clone());
+            thread::spawn(move || {
+                start.wait();
+                (0..16)
+                    .map(|_| totals_on(&page, stride))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let (a, b) = (session(1), session(3));
+        for got in a.join().unwrap() {
+            assert_eq!(got, baseline_a, "session A");
+        }
+        for got in b.join().unwrap() {
+            assert_eq!(got, baseline_b, "session B");
+        }
+    }
 }

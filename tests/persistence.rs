@@ -17,11 +17,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use webrobot::{
-    MemoryStore, Request, SegmentStore, ServiceConfig, SessionManager, ShardedManager, SiteBuilder,
-    SnapshotStore, StoreError, Value,
+    MemoryStore, Request, SegmentStore, ServiceConfig, SessionId, SessionManager, ShardedManager,
+    SiteBuilder, SnapshotStore, StoreError, Value,
 };
 use webrobot_data::parse_json;
 use webrobot_dom::parse_html;
@@ -640,6 +640,51 @@ fn shape_tampered_records_surface_as_wire_errors_on_touch() {
     assert!(reply.contains(r#""status":"ok""#), "{reply}");
 }
 
+/// Replaces the first `"p"` (an engine item's program text) in `v`.
+fn replace_first_program(v: &mut Value, text: &str) -> bool {
+    match v {
+        Value::Object(fields) => fields.iter_mut().any(|(key, field)| {
+            if key == "p" {
+                *field = Value::str(text);
+                true
+            } else {
+                replace_first_program(field, text)
+            }
+        }),
+        Value::Array(items) => items
+            .iter_mut()
+            .any(|item| replace_first_program(item, text)),
+        _ => false,
+    }
+}
+
+/// A record whose engine digest holds a program nested 100,000 loops deep
+/// surfaces as a typed `snapshot_corrupt` on first touch instead of
+/// overflowing the shard's stack; the manager keeps serving other
+/// sessions.
+#[test]
+fn deeply_nested_engine_programs_are_typed_corruption() {
+    let (mut records, site) = flushed_records("deep-engine");
+    let mut record = parse_json(&records["s-1"]).unwrap();
+    let deep = "while true do {".repeat(100_000);
+    assert!(
+        replace_first_program(&mut record, &deep),
+        "{}",
+        records["s-1"]
+    );
+    records.insert("s-1".to_string(), record.to_json());
+
+    let mut m = reopen_single(&records).unwrap();
+    m.register_site("site0", site.clone(), Value::Object(vec![]));
+    let reply = m.handle_json(&event_req("s-1", r#"{"type": "accept", "index": 0}"#));
+    assert!(reply.contains(r#""code":"snapshot_corrupt""#), "{reply}");
+    assert!(reply.contains("nested deeper than 64"), "{reply}");
+    let reply = parse_json(&m.handle_json(&create_req(0))).unwrap();
+    let fresh = reply.field("session").and_then(Value::as_str).unwrap();
+    let reply = m.handle_json(&event_req(fresh, &scrape_ev(1)));
+    assert!(reply.contains(r#""status":"ok""#), "{reply}");
+}
+
 /// A record whose replayable history was tampered with (shape-valid, but
 /// the selector no longer resolves) surfaces as a typed `browser_error`
 /// when restoration replays it.
@@ -860,29 +905,43 @@ fn filestore_layouts_migrate_into_the_segment_log_in_place() {
 // ───────────────────── checkpoint cost shape ─────────────────────
 
 /// A [`MemoryStore`] that counts `put` calls — observes exactly how many
-/// records a checkpoint writes.
+/// records a checkpoint or an eviction writes. Clones of `inner` share one
+/// store, so a second manager can reopen what the first one wrote.
 #[derive(Debug)]
 struct CountingStore {
-    inner: MemoryStore,
+    inner: Arc<Mutex<MemoryStore>>,
     puts: Arc<AtomicUsize>,
+}
+
+impl CountingStore {
+    fn new(puts: &Arc<AtomicUsize>) -> CountingStore {
+        CountingStore {
+            inner: Arc::default(),
+            puts: puts.clone(),
+        }
+    }
+
+    fn inner(&self) -> std::sync::MutexGuard<'_, MemoryStore> {
+        self.inner.lock().unwrap()
+    }
 }
 
 impl SnapshotStore for CountingStore {
     fn put(&mut self, key: &str, record: &Value) -> Result<(), StoreError> {
         self.puts.fetch_add(1, Ordering::SeqCst);
-        self.inner.put(key, record)
+        self.inner().put(key, record)
     }
 
     fn get(&self, key: &str) -> Result<Option<Value>, StoreError> {
-        self.inner.get(key)
+        self.inner().get(key)
     }
 
     fn remove(&mut self, key: &str) -> Result<(), StoreError> {
-        self.inner.remove(key)
+        self.inner().remove(key)
     }
 
     fn keys(&self) -> Result<Vec<String>, StoreError> {
-        self.inner.keys()
+        self.inner().keys()
     }
 }
 
@@ -892,10 +951,7 @@ impl SnapshotStore for CountingStore {
 #[test]
 fn incremental_checkpoints_write_only_dirty_sessions() {
     let puts = Arc::new(AtomicUsize::new(0));
-    let store = Box::new(CountingStore {
-        inner: MemoryStore::new(),
-        puts: puts.clone(),
-    });
+    let store = Box::new(CountingStore::new(&puts));
     let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
     m.register_site("site0", anchor_site(6), Value::Object(vec![]));
     for _ in 0..3 {
@@ -922,6 +978,54 @@ fn incremental_checkpoints_write_only_dirty_sessions() {
 
     // 3 sessions + meta, then meta only, then 1 + meta.
     assert_eq!((first, idle, one_dirty), (4, 1, 2));
+}
+
+/// Evicting a clean session writes nothing: its store record already
+/// holds that state. The in-memory snapshot still answers, and a reopen
+/// after a hard kill restores the session from the record the first
+/// eviction wrote.
+#[test]
+fn evicting_a_clean_session_writes_nothing() {
+    let puts = Arc::new(AtomicUsize::new(0));
+    let store = CountingStore::new(&puts);
+    let shared = store.inner.clone();
+    let cfg = ServiceConfig::builder()
+        .max_live_sessions(1)
+        .build()
+        .unwrap();
+    let mut m = SessionManager::with_store(cfg.clone(), Box::new(store)).unwrap();
+    m.register_site("site0", anchor_site(6), Value::Object(vec![]));
+    let reply = m.handle_json(&create_req(0));
+    assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    for step in 1..=2 {
+        let reply = m.handle_json(&event_req("s-1", &scrape_ev(step)));
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    }
+    let id: SessionId = "s-1".parse().unwrap();
+
+    puts.store(0, Ordering::SeqCst);
+    assert!(m.evict(id));
+    assert_eq!(puts.swap(0, Ordering::SeqCst), 1, "a dirty eviction spills");
+    let outputs = m.outputs(id).unwrap();
+    assert_eq!(outputs.len(), 2);
+    assert!(m.evict(id));
+    assert_eq!(
+        puts.swap(0, Ordering::SeqCst),
+        0,
+        "a clean eviction writes nothing"
+    );
+    assert_eq!(m.outputs(id).unwrap(), outputs);
+
+    // Hard kill: no drop flush, so the store holds only what evictions
+    // wrote.
+    std::mem::forget(m);
+    let store = CountingStore {
+        inner: shared,
+        puts: puts.clone(),
+    };
+    let mut reopened = SessionManager::with_store(cfg, Box::new(store)).unwrap();
+    reopened.register_site("site0", anchor_site(6), Value::Object(vec![]));
+    assert_eq!(reopened.outputs(id).unwrap(), outputs);
 }
 
 // ───────────────────── segment-log fuzz properties ─────────────────────
