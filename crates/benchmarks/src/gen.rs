@@ -68,8 +68,7 @@ impl GenFamily {
         GenFamily::Macro,
     ];
 
-    /// Stable short name (used in harness labels, loadgen site names and
-    /// bench row ids).
+    /// Stable short name (used in harness labels and bench row ids).
     pub fn key(self) -> &'static str {
         match self {
             GenFamily::Conditional => "conditional",

@@ -24,8 +24,8 @@
 //!   closes too.
 //!
 //! The [`Server`]/[`Client`] pair is the embeddable form used by the
-//! integration tests and the `--smoke` self-check; `src/main.rs` wraps it
-//! in a binary.
+//! integration tests; the repository benchmark (`perfbench/`) serves
+//! through [`Server`] too, and `src/main.rs` wraps it in a binary.
 
 #![warn(missing_docs)]
 
@@ -35,7 +35,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use webrobot_data::{parse_json, Value};
 use webrobot_service::{Request, Response, ShardedManager};
@@ -44,6 +44,11 @@ use webrobot_service::{Request, Response, ShardedManager};
 /// this is treated as a corrupt stream and the connection is dropped —
 /// a misbehaving client must not make the server allocate unboundedly.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// How long the accept loop waits after a failed `accept` before it
+/// tries again. The usual cause, running out of descriptors, clears only
+/// when some connection closes, so retrying at once would spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Writes one length-prefixed frame: 4-byte big-endian payload length,
 /// then the payload, then a flush.
@@ -228,15 +233,30 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any I/O error from the accept loop itself; per-connection errors
+    /// Returns no error of its own. A failed `accept` (for example EMFILE
+    /// when the process is out of descriptors) is logged once per run of
+    /// consecutive failures and retried after a 50 ms back-off, so it
+    /// never ends the server or an open connection. Per-connection errors
     /// (and panics) only terminate that connection.
     pub fn run(self) -> io::Result<()> {
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
+        let mut accept_failing = false;
         for (id, conn) in (0u64..).zip(self.listener.incoming()) {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = conn?;
+            let stream = match conn {
+                Ok(stream) => stream,
+                Err(e) => {
+                    if !accept_failing {
+                        eprintln!("webrobot-server: accept failed, retrying: {e}");
+                    }
+                    accept_failing = true;
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                }
+            };
+            accept_failing = false;
             // A frame is two small writes (header + payload); without
             // TCP_NODELAY, Nagle holding the second write for the peer's
             // delayed ACK adds ~40ms per round trip on loopback.
@@ -291,8 +311,8 @@ fn serve_connection(id: u64, mut stream: TcpStream, shared: &Shared) {
 }
 
 /// A blocking client for the framed protocol — one request, one reply,
-/// in order. Used by the integration tests, the `--smoke` self-check,
-/// and any Rust-side tooling that wants to drive a running server.
+/// in order. Used by the integration tests and any Rust-side tooling
+/// that wants to drive a running server.
 pub struct Client {
     stream: TcpStream,
 }

@@ -62,8 +62,9 @@ fn concurrent_connections_multiplex_onto_one_service() {
     let addr = server.local_addr().unwrap();
     let serving = std::thread::spawn(move || server.run());
 
-    // Two clients create their own sessions and drive them concurrently;
-    // a third checks the aggregate afterwards.
+    // Two clients create their own sessions and drive them concurrently
+    // through demonstrate, accept and outputs; a third checks the
+    // aggregate afterwards.
     let drivers: Vec<_> = (0..2)
         .map(|_| {
             std::thread::spawn(move || {
@@ -83,6 +84,18 @@ fn concurrent_connections_multiplex_onto_one_service() {
                     let reply = client.call(&demonstrate(&session, i)).unwrap();
                     assert!(reply.contains(r#""outcome":"recorded""#), "{reply}");
                 }
+                let accepted = client
+                    .call(&format!(
+                        r#"{{"v": 1, "kind": "event", "session": "{session}", "event": {{"type": "accept", "index": 0}}}}"#
+                    ))
+                    .unwrap();
+                assert!(accepted.contains(r#""outputs":3"#), "{accepted}");
+                let outputs = client
+                    .call(&format!(
+                        r#"{{"v": 1, "kind": "outputs", "session": "{session}"}}"#
+                    ))
+                    .unwrap();
+                assert!(outputs.contains("item 3"), "{outputs}");
                 session
             })
         })
@@ -94,7 +107,7 @@ fn concurrent_connections_multiplex_onto_one_service() {
     let mut client = Client::connect(addr).unwrap();
     let metrics = client.call(r#"{"v": 1, "kind": "metrics"}"#).unwrap();
     assert!(
-        metrics.contains(r#""events":{"ok":4,"rejected":0}"#),
+        metrics.contains(r#""events":{"ok":6,"rejected":0}"#),
         "{metrics}"
     );
 

@@ -132,8 +132,9 @@ pub trait SnapshotStore: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the medium rejects the write or the key is
-    /// not a valid store key.
+    /// [`StoreError::Io`] when the medium rejects the write, the key is
+    /// not a valid store key, or the record is larger than the store can
+    /// read back.
     fn put(&mut self, key: &str, record: &Value) -> Result<(), StoreError>;
 
     /// Reads one record; `Ok(None)` when the key is absent.
@@ -182,11 +183,21 @@ pub trait SnapshotStore: fmt::Debug + Send + Sync {
     }
 }
 
+/// The longest valid store key, in bytes. Keys are short ids; a
+/// [`SegmentStore`]'s recovery scan rejects a longer one as corrupt.
+const MAX_KEY: usize = 4096;
+
 /// Store keys name `<key>.json` files in the directory layout a
 /// [`SegmentStore`] imports, so restrict them to a safe alphabet (no
 /// separators, no leading dot — rules out path traversal and hidden files
-/// by construction).
+/// by construction) and to [`MAX_KEY`] bytes.
 fn check_key(key: &str) -> Result<(), StoreError> {
+    if key.len() > MAX_KEY {
+        return Err(StoreError::io(format!(
+            "store key of {} bytes exceeds {MAX_KEY}",
+            key.len()
+        )));
+    }
     let valid = !key.is_empty()
         && !key.starts_with('.')
         && key
@@ -297,7 +308,8 @@ mod tests {
         store.remove("s-1").unwrap();
         assert_eq!(store.get("s-1").unwrap(), None);
         // Hostile keys are typed errors, not path escapes.
-        for bad in ["", "..", "a/b", "a\\b", ".hidden", "s 1"] {
+        let too_long = "k".repeat(MAX_KEY + 1);
+        for bad in ["", "..", "a/b", "a\\b", ".hidden", "s 1", &too_long] {
             assert!(matches!(
                 store.put(bad, &record(0)),
                 Err(StoreError::Io { .. })

@@ -60,14 +60,13 @@ use std::time::{Duration, Instant};
 
 use webrobot_data::{parse_json, Value};
 
-use crate::{check_key, SnapshotStore, StoreError, StoreIoStats};
+use crate::{check_key, SnapshotStore, StoreError, StoreIoStats, MAX_KEY};
 
 const TAG_PUT: u8 = b'P';
 const TAG_DEL: u8 = b'D';
 const TAG_COMMIT: u8 = b'C';
-/// Plausibility cap on a key during recovery scans (keys are short ids).
-const MAX_KEY: usize = 4096;
-/// Plausibility cap on a record payload (matches the wire frame cap).
+/// Cap on a record payload (matches the wire frame cap): a larger put
+/// is refused, and recovery rejects a larger frame as corrupt.
 const MAX_RECORD: usize = 16 * 1024 * 1024;
 /// A commit frame is tag + sequence + crc.
 const COMMIT_FRAME: usize = 1 + 8 + 4;
@@ -670,6 +669,12 @@ impl SegmentStore {
     }
 
     fn append_put(&mut self, key: &str, raw: &str) -> Result<(), StoreError> {
+        if raw.len() > MAX_RECORD {
+            return Err(StoreError::io(format!(
+                "record '{key}' of {} bytes exceeds {MAX_RECORD}",
+                raw.len()
+            )));
+        }
         let offset = self.active_len + 9 + key.len() as u64;
         self.append_frame(&put_frame(key, raw.as_bytes()))?;
         let location = Location {
@@ -1146,6 +1151,35 @@ mod tests {
         let store = SegmentStore::open(dir.path()).unwrap();
         assert_eq!(store.get("s-1").unwrap(), None);
         assert_eq!(store.keys().unwrap(), vec!["s-2"]);
+    }
+
+    /// Puts `value` under `key`, which recovery would reject, between
+    /// two valid puts: the store refuses it before writing a byte, and
+    /// the log reopens with every other record.
+    fn refuses_what_recovery_rejects(name: &str, key: &str, value: &Value) {
+        let dir = TempDir::new(name);
+        let mut store = SegmentStore::with_config(manual(), dir.path()).unwrap();
+        store.put("s-1", &record(1)).unwrap();
+        store.flush().unwrap();
+        assert!(matches!(store.put(key, value), Err(StoreError::Io { .. })));
+        store.put("s-2", &record(2)).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let store = SegmentStore::open(dir.path()).unwrap();
+        assert_eq!(store.get("s-1").unwrap(), Some(record(1)));
+        assert_eq!(store.get("s-2").unwrap(), Some(record(2)));
+        assert_eq!(store.keys().unwrap(), vec!["s-1", "s-2"]);
+    }
+
+    #[test]
+    fn a_record_over_max_record_is_refused_and_the_log_stays_readable() {
+        let huge = Value::str("x".repeat(MAX_RECORD + 1));
+        refuses_what_recovery_rejects("max-record", "s-9", &huge);
+    }
+
+    #[test]
+    fn a_key_over_max_key_is_refused_and_the_log_stays_readable() {
+        refuses_what_recovery_rejects("max-key", &"k".repeat(5000), &record(9));
     }
 
     /// The bitwise CRC-32 the table replaced: eight shift-and-mask steps

@@ -35,19 +35,6 @@
 //!           [--max-ratio N] [--field NAME]
 //! ```
 //!
-//! A third mode gates an *absolute* bound on a single row's metric —
-//! used by CI on the load harness's `BENCH_load.json` for axes where any
-//! nonzero value is a bug (lost sessions, hard errors), not a ratio:
-//!
-//! ```text
-//! benchdiff --bound <snapshot.json> <id> <field> <max>
-//! ```
-//!
-//! Exit 0 when `snapshot[id][field] <= max`, exit 1 otherwise. Unlike the
-//! diff modes, only the named row needs the named field — load snapshots
-//! carry per-axis extra fields (`sessions_lost`, `hard_errors`, …) that
-//! other rows don't have.
-//!
 //! The JSON is parsed with `webrobot_data::parse_json` — the snapshots
 //! are integer-only by construction, so the gate needs no dependency the
 //! workspace doesn't already have.
@@ -193,21 +180,17 @@ fn run(args: &[String]) -> Result<bool, String> {
     const USAGE: &str = "usage: benchdiff <baseline.json> <fresh.json> \
                          [--max-ratio N] [--field NAME]\n\
                          \u{20}      benchdiff --compare-ids <snapshot.json> \
-                         <baseline-id> <subject-id> [--max-ratio N] [--field NAME]\n\
-                         \u{20}      benchdiff --bound <snapshot.json> <id> <field> <max>";
+                         <baseline-id> <subject-id> [--max-ratio N] [--field NAME]";
     // One pass so `--max-ratio`'s value is consumed as the flag's
     // argument, never mistaken for a third positional path.
     let mut positional: Vec<&String> = Vec::new();
     let mut max_ratio = 3.0;
     let mut field = "mean_ns".to_string();
     let mut compare_ids = false;
-    let mut bound = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--compare-ids" {
             compare_ids = true;
-        } else if arg == "--bound" {
-            bound = true;
         } else if arg == "--max-ratio" {
             max_ratio = iter
                 .next()
@@ -231,37 +214,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         let doc = parse_json(&body).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
         field_by_id(&doc, &field).map_err(|e| format!("{path}: {e}"))
     };
-    if bound {
-        let [path, id, bound_field, max] = positional.as_slice() else {
-            return Err(USAGE.to_string());
-        };
-        let max: i64 = max
-            .parse()
-            .map_err(|_| "--bound takes an integer maximum".to_string())?;
-        let body = std::fs::read_to_string(path.as_str())
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        let doc = parse_json(&body).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-        let Value::Object(rows) = &doc else {
-            return Err(format!("{path}: top level must be an object"));
-        };
-        // Only the *named* row needs the field: load snapshots carry
-        // per-axis extras that other rows deliberately lack.
-        let row = rows
-            .iter()
-            .find(|(rid, _)| rid == id.as_str())
-            .map(|(_, row)| row)
-            .ok_or_else(|| format!("{path}: no benchmark '{id}'"))?;
-        let value = row
-            .field(bound_field)
-            .and_then(Value::as_int)
-            .ok_or_else(|| format!("{path}: '{id}' has no integer '{bound_field}'"))?;
-        let ok = value <= max;
-        println!(
-            "benchdiff [bound]: {id}.{bound_field} = {value} (max {max}): {}",
-            if ok { "OK" } else { "FAIL" }
-        );
-        return Ok(ok);
-    }
     if compare_ids {
         let [path, baseline_id, subject_id] = positional.as_slice() else {
             return Err(USAGE.to_string());
@@ -465,39 +417,6 @@ mod tests {
             .chain(paths)
             .collect();
         assert!(run(&missing).is_err(), "--field needs a metric name");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bound_gates_an_absolute_per_row_maximum() {
-        let dir = std::env::temp_dir().join(format!("benchdiff-bound-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("snap.json");
-        // Only the resilience row carries `sessions_lost`: the other row
-        // must not make the bound mode error out.
-        std::fs::write(
-            &snap,
-            r#"{
-  "load_success_speed/request": {"mean_ns": 30000, "p99_ns": 100000},
-  "load_resilience/kill9": {"mean_ns": 50000, "p99_ns": 200000, "sessions_lost": 0}
-}"#,
-        )
-        .unwrap();
-        let args = |field: &str, max: &str| -> Vec<String> {
-            vec![
-                "--bound".to_string(),
-                snap.to_string_lossy().into_owned(),
-                "load_resilience/kill9".to_string(),
-                field.to_string(),
-                max.to_string(),
-            ]
-        };
-        assert_eq!(run(&args("sessions_lost", "0")), Ok(true));
-        assert_eq!(run(&args("p99_ns", "100000")), Ok(false), "200k > 100k");
-        assert!(run(&args("nope", "0")).is_err(), "missing field is error");
-        let mut unknown = args("sessions_lost", "0");
-        unknown[2] = "load_nope/x".to_string();
-        assert!(run(&unknown).is_err(), "unknown id is error");
         std::fs::remove_dir_all(&dir).ok();
     }
 
