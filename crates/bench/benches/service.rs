@@ -10,8 +10,8 @@
 //!   [`ShardedManager`] at shard counts 1/2/4, one driver thread per
 //!   shard. On a multi-core runner the rows scale with the shard count;
 //!   on one core they bound the routing/channel overhead instead.
-//! - `service_evict` / `service_codec` — eviction thrash, one deep
-//!   restore, and raw codec.
+//! - `service_evict` / `service_codec` — eviction thrash, two deep
+//!   restores, and raw codec.
 //! - `service_store` — O(dirty) checkpoint cost and the
 //!   [`SegmentStore`](webrobot_service::SegmentStore) group-commit batch
 //!   sweep.
@@ -34,9 +34,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use webrobot_browser::{Site, SiteBuilder};
 use webrobot_data::parse_json;
 use webrobot_dom::parse_html;
-use webrobot_interact::Event;
+use webrobot_interact::{Event, Mode, StepOutcome};
 use webrobot_lang::{Action, Value};
-use webrobot_service::{Request, ServiceConfig, SessionManager, ShardedManager};
+use webrobot_semantics::action_consistent;
+use webrobot_service::{Request, ServiceConfig, SessionId, SessionManager, ShardedManager};
 
 const ITEMS_PER_SITE: usize = 6;
 
@@ -263,6 +264,45 @@ fn nested_site() -> Arc<Site> {
     Arc::new(b.start_at(home).finish())
 }
 
+/// A session on suite benchmark `id`, driven the way the repository
+/// benchmark's durable-churn sessions are: an oracle user follows the
+/// recording (demonstrating, accepting the prediction that matches it,
+/// automating while the first prediction matches) and stops after three
+/// quarters of the recorded actions.
+fn churn_session(id: u32) -> (SessionManager, SessionId) {
+    let bench = webrobot_benchmarks::benchmark(id).expect("suite benchmark");
+    let trace = bench.record().expect("ground truth records").trace;
+    let stop = trace.len() - trace.len() / 4;
+    let mut m = SessionManager::new(ServiceConfig::default());
+    m.register_site("churn", bench.site.clone(), bench.input.clone());
+    let session = m.create("churn", None, None).expect("session opens");
+    let (mut pos, mut mode, mut predictions) = (0, Mode::Demonstrate, Vec::new());
+    for _ in 0..trace.len() * 4 + 64 {
+        if pos == stop {
+            return (m, session);
+        }
+        let approves = |p: &Action| action_consistent(p, &trace.actions()[pos], &trace.doms()[pos]);
+        let event = match mode {
+            Mode::Authorize => match predictions.iter().position(approves) {
+                Some(index) => Event::Accept { index },
+                None => Event::RejectAll,
+            },
+            Mode::Automate => match predictions.first() {
+                Some(p) if approves(p) => Event::AutomateStep,
+                _ => Event::Interrupt,
+            },
+            _ => Event::Demonstrate(trace.actions()[pos].clone()),
+        };
+        let advances = matches!(event, Event::Demonstrate(_) | Event::Accept { .. });
+        let reply = m.dispatch(session, event).expect("oracle events are valid");
+        if advances || matches!(reply.outcome, StepOutcome::Automated(_)) {
+            pos += 1;
+        }
+        (mode, predictions) = (reply.mode, reply.predictions);
+    }
+    panic!("the oracle did not reach b{id}'s stop point");
+}
+
 /// Eviction/restoration cost. A restore replays the history
 /// observe-only and adopts the snapshot's engine digest, so it pays
 /// replay and no synthesis:
@@ -274,6 +314,9 @@ fn nested_site() -> Arc<Site> {
 /// - `restore_nested_h16` — one evict + restore cycle (driven over the
 ///   wire as `evict` + `outputs`) of a session 16 actions deep into the
 ///   nested two-field directory.
+/// - `restore_b15_stop` — the same cycle for the heaviest session of the
+///   repository benchmark's durable-churn pool: suite benchmark b15 at
+///   its stop point, whose engine digest holds about 126 items.
 fn bench_evict_thrash(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_evict");
     group.sample_size(10);
@@ -344,6 +387,24 @@ fn bench_evict_thrash(c: &mut Criterion) {
             |bench, ()| {
                 bench.iter(|| {
                     assert!(m.evict("s-1".parse().unwrap()));
+                    let reply = m.handle_json(&outputs_req);
+                    assert!(reply.contains(r#""status":"ok""#), "{reply}");
+                });
+            },
+        );
+    }
+    {
+        let (mut m, session) = churn_session(15);
+        let outputs_req = Request::Outputs {
+            session: session.to_string(),
+        }
+        .to_json();
+        group.bench_with_input(
+            BenchmarkId::from_parameter("restore_b15_stop"),
+            &(),
+            |bench, ()| {
+                bench.iter(|| {
+                    assert!(m.evict(session));
                     let reply = m.handle_json(&outputs_req);
                     assert!(reply.contains(r#""status":"ok""#), "{reply}");
                 });

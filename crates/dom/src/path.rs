@@ -3,6 +3,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::error::PathParseError;
 use crate::node::{Dom, NodeId};
@@ -126,9 +127,13 @@ impl fmt::Display for Step {
 /// assert_eq!(p.to_string(), "//div[@class='item'][2]/h3[1]");
 /// # Ok::<(), webrobot_dom::PathParseError>(())
 /// ```
+///
+/// The steps are shared: cloning a path (and so a selector, a statement or
+/// a whole program) bumps a reference count instead of copying every step
+/// and tag string.
 #[derive(Debug, Clone)]
 pub struct Path {
-    steps: Vec<Step>,
+    steps: Arc<[Step]>,
     /// FNV-1a digest of `steps`, computed at construction. Selector
     /// hashing dominates the resolution-cache and memo-table probes during
     /// synthesis; precomputing turns every probe into a single `u64` write
@@ -166,6 +171,8 @@ fn fold_steps(mut h: u64, steps: &[Step]) -> u64 {
 }
 
 impl PartialEq for Path {
+    /// Once the hashes match, `Arc`'s equality answers from the pointer
+    /// when both paths share their steps.
     fn eq(&self, other: &Path) -> bool {
         self.hash == other.hash && self.steps == other.steps
     }
@@ -201,13 +208,17 @@ impl Path {
     /// The empty selector `ε` (denotes the document root).
     pub fn root() -> Path {
         Path {
-            steps: Vec::new(),
+            steps: Arc::default(),
             hash: FNV_OFFSET,
         }
     }
 
     /// Builds a path from steps.
     pub fn new(steps: Vec<Step>) -> Path {
+        Path::shared(steps.into())
+    }
+
+    fn shared(steps: Arc<[Step]>) -> Path {
         let hash = fold_steps(FNV_OFFSET, &steps);
         Path { steps, hash }
     }
@@ -232,33 +243,42 @@ impl Path {
     /// Builds the step vector at its exact final capacity: clone-then-push
     /// reserved for the cloned length and then grew (amplifying twice on
     /// the loop-guard derivation hot path), while this allocates once.
+    /// Moving the vector into the shared slice costs a second allocation
+    /// and a copy, yet measured faster than collecting the steps and the
+    /// new one straight into the slice.
     pub fn join(&self, step: Step) -> Path {
         let mut steps = Vec::with_capacity(self.steps.len() + 1);
         steps.extend_from_slice(&self.steps);
         steps.push(step);
         let hash = fold_steps(self.hash, &steps[self.steps.len()..]);
-        Path { steps, hash }
+        Path {
+            steps: steps.into(),
+            hash,
+        }
     }
 
-    /// Concatenates two paths (one exact-capacity allocation, as in
-    /// [`Path::join`]).
+    /// Concatenates two paths in one allocation. An empty suffix, as in
+    /// resolving `%r0` itself, shares this path's steps.
     pub fn concat(&self, suffix: &Path) -> Path {
-        let mut steps = Vec::with_capacity(self.steps.len() + suffix.steps.len());
-        steps.extend_from_slice(&self.steps);
-        steps.extend_from_slice(&suffix.steps);
-        let hash = fold_steps(self.hash, &suffix.steps);
-        Path { steps, hash }
+        if suffix.is_empty() {
+            return self.clone();
+        }
+        let steps = self.steps.iter().chain(suffix.steps.iter()).cloned();
+        Path {
+            steps: steps.collect(),
+            hash: fold_steps(self.hash, &suffix.steps),
+        }
     }
 
     /// `true` iff `prefix` is a step-wise prefix of this path.
     pub fn starts_with(&self, prefix: &Path) -> bool {
-        self.steps.len() >= prefix.steps.len() && self.steps[..prefix.steps.len()] == prefix.steps
+        self.steps.len() >= prefix.steps.len() && self.steps[..prefix.steps.len()] == *prefix.steps
     }
 
     /// Strips `prefix`, returning the remaining suffix path.
     pub fn strip_prefix(&self, prefix: &Path) -> Option<Path> {
         if self.starts_with(prefix) {
-            Some(Path::new(self.steps[prefix.steps.len()..].to_vec()))
+            Some(Path::shared(self.steps[prefix.steps.len()..].into()))
         } else {
             None
         }
@@ -270,7 +290,7 @@ impl Path {
     ///
     /// Panics if `n > self.len()`.
     pub fn prefix(&self, n: usize) -> Path {
-        Path::new(self.steps[..n].to_vec())
+        Path::shared(self.steps[..n].into())
     }
 
     /// Resolves the path on `dom` starting from the document root.
@@ -298,7 +318,7 @@ impl Path {
     /// Resolves the path on `dom` starting from `base`.
     pub fn resolve_from(&self, dom: &Dom, base: NodeId) -> Option<NodeId> {
         let mut cur = base;
-        for step in &self.steps {
+        for step in self.steps.iter() {
             cur = step.resolve_from(dom, cur)?;
         }
         Some(cur)
@@ -315,7 +335,7 @@ impl fmt::Display for Path {
         if self.steps.is_empty() {
             return write!(f, "ε");
         }
-        for step in &self.steps {
+        for step in self.steps.iter() {
             write!(f, "{step}")?;
         }
         Ok(())
@@ -491,6 +511,14 @@ mod tests {
         let suffix = p.strip_prefix(&pre).unwrap();
         assert_eq!(suffix.to_string(), "/h3[1]");
         assert_eq!(pre.concat(&suffix), p);
+    }
+
+    #[test]
+    fn clones_share_their_steps() {
+        let p: Path = "//div[@class='item'][2]/h3[1]".parse().unwrap();
+        let q = p.clone();
+        assert!(std::ptr::eq(p.steps().as_ptr(), q.steps().as_ptr()));
+        assert_eq!(p, q);
     }
 
     #[test]

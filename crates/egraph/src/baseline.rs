@@ -362,7 +362,11 @@ fn reroll_with(
     }
     let list = collection.expect("parametrized implies collection");
     *var_counter += 1;
-    Some(Statement::ForeachSel(ForeachSel { var, list, body }))
+    Some(Statement::ForeachSel(ForeachSel {
+        var,
+        list,
+        body: body.into(),
+    }))
 }
 
 /// Unifies a column of same-position statements across all iterations:

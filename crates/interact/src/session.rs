@@ -692,12 +692,13 @@ impl Session {
     /// The executed actions are replayed through the browser and fed to
     /// the synthesizer observe-only — zero synthesize calls — and the
     /// engine state is then adopted from [`SessionSnapshot::engine`], so
-    /// a restore costs replay alone. A snapshot without a digest (one
-    /// written before digests existed), or with one the adoption check
-    /// rejects (tampered by hand), gets one full synthesis over the
-    /// complete trace instead: incremental ≡ from-scratch (the
-    /// differential harness pins it), and the replayed history, not the
-    /// digest, is authoritative.
+    /// a restore runs no search: it costs replay plus adoption, which
+    /// re-executes each generalizing program over the replayed trace. A
+    /// snapshot without a digest (one written before digests existed),
+    /// or with one the adoption check rejects (tampered by hand), gets
+    /// one full synthesis over the complete trace instead: incremental ≡
+    /// from-scratch (the differential harness pins it), and the replayed
+    /// history, not the digest, is authoritative.
     ///
     /// # Errors
     ///

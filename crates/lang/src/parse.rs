@@ -230,7 +230,7 @@ impl<'a> Parser<'a> {
             let list = self.parse_selector_list()?;
             self.expect("do")?;
             self.expect("{")?;
-            let body = self.parse_statements(true)?;
+            let body = self.parse_statements(true)?.into();
             self.expect("}")?;
             Ok(Statement::ForeachSel(ForeachSel { var, list, body }))
         } else if self.rest().starts_with("%v") {
@@ -242,7 +242,7 @@ impl<'a> Parser<'a> {
             self.expect(")")?;
             self.expect("do")?;
             self.expect("{")?;
-            let body = self.parse_statements(true)?;
+            let body = self.parse_statements(true)?.into();
             self.expect("}")?;
             Ok(Statement::ForeachVal(ForeachVal {
                 var,
@@ -262,7 +262,10 @@ impl<'a> Parser<'a> {
         let mut body = self.parse_statements(true)?;
         self.expect("}")?;
         match body.pop() {
-            Some(Statement::Click(click)) => Ok(Statement::While(While { body, click })),
+            Some(Statement::Click(click)) => Ok(Statement::While(While {
+                body: body.into(),
+                click,
+            })),
             _ => Err(self.err("while block must end with Click(n)")),
         }
     }

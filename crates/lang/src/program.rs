@@ -1,6 +1,7 @@
 //! Programs and statements (paper Fig. 6).
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::selector::{SelBase, Selector, SelectorList};
 use crate::valuepath::{ValuePathExpr, ValuePathList, VpBase};
@@ -13,8 +14,8 @@ pub struct ForeachSel {
     pub var: SelVar,
     /// The collection `N` to iterate over.
     pub list: SelectorList,
-    /// The loop body `P`.
-    pub body: Vec<Statement>,
+    /// The loop body `P`, shared: cloning the loop bumps a reference count.
+    pub body: Arc<[Statement]>,
 }
 
 /// A value-path loop `foreach ϑ in V do P`.
@@ -24,8 +25,8 @@ pub struct ForeachVal {
     pub var: VpVar,
     /// The collection `V` to iterate over.
     pub list: ValuePathList,
-    /// The loop body `P`.
-    pub body: Vec<Statement>,
+    /// The loop body `P`, shared like [`ForeachSel::body`].
+    pub body: Arc<[Statement]>,
 }
 
 /// A click-terminated loop `while true do { P; Click(n) }`.
@@ -35,8 +36,9 @@ pub struct ForeachVal {
 /// paper's pagination construct.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct While {
-    /// The body `P` executed before each terminating click.
-    pub body: Vec<Statement>,
+    /// The body `P` executed before each terminating click, shared like
+    /// [`ForeachSel::body`].
+    pub body: Arc<[Statement]>,
     /// The selector of the terminating `Click`.
     pub click: Selector,
 }
@@ -151,21 +153,21 @@ impl Statement {
             Statement::EnterData(s, v) => writeln!(f, "{pad}EnterData({s}, {v})"),
             Statement::ForeachSel(l) => {
                 writeln!(f, "{pad}foreach {} in {} do {{", l.var, l.list)?;
-                for s in &l.body {
+                for s in l.body.iter() {
                     s.fmt_indent(f, indent + 1)?;
                 }
                 writeln!(f, "{pad}}}")
             }
             Statement::ForeachVal(l) => {
                 writeln!(f, "{pad}foreach {} in {} do {{", l.var, l.list)?;
-                for s in &l.body {
+                for s in l.body.iter() {
                     s.fmt_indent(f, indent + 1)?;
                 }
                 writeln!(f, "{pad}}}")
             }
             Statement::While(w) => {
                 writeln!(f, "{pad}while true do {{")?;
-                for s in &w.body {
+                for s in w.body.iter() {
                     s.fmt_indent(f, indent + 1)?;
                 }
                 writeln!(f, "{pad}  Click({})", w.click)?;
@@ -392,7 +394,7 @@ mod tests {
         Statement::ForeachSel(ForeachSel {
             var: SelVar(var),
             list: SelectorList::dscts(Selector::rooted(Path::root()), Pred::tag("a")),
-            body: vec![Statement::Click(Selector::var(SelVar(var)))],
+            body: [Statement::Click(Selector::var(SelVar(var)))].into(),
         })
     }
 
@@ -408,7 +410,7 @@ mod tests {
         let b = Statement::ForeachSel(ForeachSel {
             var: SelVar(0),
             list: SelectorList::dscts(Selector::rooted(Path::root()), Pred::tag("b")),
-            body: vec![Statement::Click(Selector::var(SelVar(0)))],
+            body: [Statement::Click(Selector::var(SelVar(0)))].into(),
         });
         assert!(!a.alpha_eq(&b));
     }
@@ -419,19 +421,30 @@ mod tests {
             Statement::ForeachSel(ForeachSel {
                 var: SelVar(v),
                 list: SelectorList::children(Selector::var(SelVar(outer)), Pred::tag("li")),
-                body: vec![Statement::ScrapeText(Selector::var(SelVar(v)))],
+                body: [Statement::ScrapeText(Selector::var(SelVar(v)))].into(),
             })
         };
         let outer = |ov: u32, iv: u32| {
             Statement::ForeachSel(ForeachSel {
                 var: SelVar(ov),
                 list: SelectorList::dscts(Selector::rooted(Path::root()), Pred::tag("ul")),
-                body: vec![inner(iv, ov)],
+                body: [inner(iv, ov)].into(),
             })
         };
         assert!(outer(5, 9).alpha_eq(&outer(0, 1)));
         // Shadowing: same numeral for inner and outer still canonicalizes.
         assert!(outer(2, 2).alpha_eq(&outer(0, 1)));
+    }
+
+    #[test]
+    fn cloned_loops_share_their_body() {
+        let a = simple_loop(0);
+        let b = a.clone();
+        let (Statement::ForeachSel(la), Statement::ForeachSel(lb)) = (&a, &b) else {
+            unreachable!("simple_loop builds a selector loop");
+        };
+        assert!(std::ptr::eq(la.body.as_ptr(), lb.body.as_ptr()));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -445,7 +458,7 @@ mod tests {
     #[test]
     fn loop_depth_is_max_nesting() {
         let w = Statement::While(While {
-            body: vec![simple_loop(0)],
+            body: [simple_loop(0)].into(),
             click: Selector::rooted("//span[1]".parse().unwrap()),
         });
         assert_eq!(w.loop_depth(), 2);
@@ -457,7 +470,7 @@ mod tests {
     #[test]
     fn display_is_indented() {
         let w = Statement::While(While {
-            body: vec![simple_loop(0)],
+            body: [simple_loop(0)].into(),
             click: Selector::rooted("//span[1]".parse().unwrap()),
         });
         let text = w.to_string();

@@ -14,8 +14,9 @@
 //! this down). Equivalence is what makes the fast path a *proof-carrying*
 //! optimization rather than an approximation.
 //!
-//! Statement blocks are shared as `Arc<[Statement]>`, so entering a loop
-//! iteration is a pointer bump, not a deep clone of the body.
+//! Statement blocks are shared as `Arc<[Statement]>`, the program's own
+//! loop bodies, so entering a loop or an iteration is a pointer bump, not
+//! a deep clone of the body.
 
 use std::sync::Arc;
 
@@ -84,7 +85,7 @@ impl Stepper {
         Stepper {
             input,
             frames: vec![Frame::Block {
-                stmts: program.to_vec().into(),
+                stmts: program.into(),
                 idx: 0,
             }],
             env: Env::default(),
@@ -216,7 +217,7 @@ impl Stepper {
 
     /// Begins executing one statement: loop-free statements produce their
     /// action immediately (cloning nothing but the resolved arguments),
-    /// loops clone their body into a shared block once per loop *entry*.
+    /// loops share their body with the program.
     fn enter(&mut self, stmt: &Statement) -> Result<Option<Action>, EvalError> {
         match stmt {
             Statement::Click(s) => Ok(Some(Action::Click(self.env.resolve_selector(s)?))),
@@ -240,7 +241,7 @@ impl Stepper {
                     var: l.var,
                     base,
                     list: l.list.clone(),
-                    body: l.body.as_slice().into(),
+                    body: l.body.clone(),
                     i: 1,
                     in_body: false,
                 });
@@ -250,7 +251,7 @@ impl Stepper {
                 let array = self.env.resolve_vp(&l.list.array)?;
                 let count = self.input.get_array(&array).map(|a| a.len()).unwrap_or(0);
                 if count > 0 {
-                    let body: Arc<[Statement]> = l.body.as_slice().into();
+                    let body = l.body.clone();
                     self.env.vp.push((l.var, array.join(PathSeg::Index(1))));
                     self.frames.push(Frame::Vp {
                         var: l.var,
@@ -267,7 +268,7 @@ impl Stepper {
                 Ok(None)
             }
             Statement::While(w) => {
-                let body: Arc<[Statement]> = w.body.as_slice().into();
+                let body = w.body.clone();
                 self.frames.push(Frame::While {
                     click: w.click.clone(),
                     body: body.clone(),

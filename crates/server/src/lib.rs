@@ -110,11 +110,12 @@ struct Shared {
     manager: ShardedManager,
     draining: AtomicBool,
     addr: SocketAddr,
-    /// One cloned handle per open connection, keyed by its accept
-    /// number, so a drain can close idle connections that are blocked
-    /// reading their next frame. Each connection removes its own entry
-    /// when it ends, so the registry holds open connections only.
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Every open connection's stream, keyed by its accept number and
+    /// shared with the thread serving it (one descriptor per connection),
+    /// so a drain can close idle connections that are blocked reading
+    /// their next frame. Each connection removes its own entry when it
+    /// ends, so the registry holds open connections only.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
 }
 
 /// A connection's entry in [`Shared::conns`], removed when the
@@ -278,15 +279,17 @@ impl Server {
 
 /// One connection: frames in, frames out, in order, until the client
 /// closes, a framing error occurs, or a drain ends the world.
-fn serve_connection(id: u64, mut stream: TcpStream, shared: &Shared) {
-    if let Ok(handle) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, handle);
-    }
+fn serve_connection(id: u64, stream: TcpStream, shared: &Shared) {
+    let stream = Arc::new(stream);
+    shared
+        .conns
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(id, stream.clone());
     let _registration = Registration { shared, id };
+    // `&TcpStream` reads and writes, so the registry's handle and this
+    // thread's are one socket.
+    let mut stream = &*stream;
     // A clean close, a truncated frame, and a drain-initiated shutdown
     // all end the connection the same way: stop reading.
     while let Ok(Some(frame)) = read_frame(&mut stream) {

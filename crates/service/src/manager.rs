@@ -708,9 +708,12 @@ impl SessionManager {
     /// When a store is attached the serialized snapshot of a dirty
     /// session is also spilled to it (best effort — the in-memory
     /// snapshot stays authoritative, and the next `checkpoint` retries any
-    /// failed write), so an evicted session is durable the moment it goes
-    /// cold. A clean session's record already holds this state (say, one
-    /// restored only to answer `outputs`), so its eviction writes nothing.
+    /// failed write). The spill is durable only once the store commits it:
+    /// at the segment store's next group commit (by default after 8
+    /// writes or 256 KiB, or on the first write 25 ms after the last
+    /// commit) or at a `checkpoint`. A clean session's record already
+    /// holds this state (say, one restored only to answer `outputs`), so
+    /// its eviction writes nothing.
     pub fn evict(&mut self, id: SessionId) -> bool {
         let Some(tracked) = self.sessions.get_mut(&id.0) else {
             return false;

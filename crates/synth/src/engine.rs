@@ -349,9 +349,10 @@ impl Synthesizer {
     }
 
     /// The worklist dedup hash: per-statement canonical ids plus slice
-    /// bounds. Same alpha-equivalence classes as [`Item::canonical_hash`]
-    /// (top-level statements are closed), but repeat statements cost a
-    /// memo probe instead of a program clone + canonicalize per push.
+    /// bounds. Items whose programs are alpha-equivalent statement by
+    /// statement (top-level statements are closed) and whose bounds agree
+    /// hash alike, and a repeat statement costs a memo probe instead of a
+    /// clone + canonicalize per push.
     fn item_hash(&self, item: &Item) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = webrobot_dom::FxHasher::default();
@@ -1242,6 +1243,25 @@ mod tests {
         let mut adopted = Synthesizer::new(SynthConfig::default(), scrape_trace(3, 6));
         assert!(adopted.adopt_digest(&digest));
         assert_eq!(adopted.digest().unwrap(), digest);
+    }
+
+    /// A digest shares the live engine's loop bodies: taking a snapshot
+    /// copies no program tree.
+    #[test]
+    fn digests_share_loop_bodies_with_the_live_engine() {
+        let mut synth = Synthesizer::new(SynthConfig::default(), scrape_trace(3, 6));
+        synth.synthesize();
+        let digest = synth.digest().unwrap();
+        let mut loops = 0;
+        for (live, image) in synth.generalizing_items().zip(&digest.generalizing) {
+            for (a, b) in live.statements().iter().zip(image.statements()) {
+                if let (Statement::ForeachSel(a), Statement::ForeachSel(b)) = (a, b) {
+                    assert!(std::ptr::eq(a.body.as_ptr(), b.body.as_ptr()));
+                    loops += 1;
+                }
+            }
+        }
+        assert!(loops > 0, "the generalizing programs are loops");
     }
 
     /// Inconsistent digests are rejected wholesale, leaving the adopting

@@ -1,9 +1,6 @@
 //! Worklist items: a partial rewrite of the trace plus the slice
 //! boundaries that witness invariants I1/I2 of paper Alg. 1.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
 use webrobot_lang::{Program, Statement};
 use webrobot_semantics::Trace;
 
@@ -86,15 +83,6 @@ impl Item {
         Program::new(self.stmts.clone())
     }
 
-    /// Hash of the canonicalized program + bounds, used to deduplicate
-    /// alpha-equivalent rewrites across the worklist.
-    pub fn canonical_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.to_program().canonicalize().hash(&mut h);
-        self.bounds.hash(&mut h);
-        h.finish()
-    }
-
     /// Rebuilds an item from a program and its slice boundaries — the
     /// inverse of [`Item::statements`] / [`Item::bounds`], used to adopt
     /// a persisted engine digest. Returns `None` unless `bounds` is a
@@ -167,26 +155,5 @@ mod tests {
         assert_eq!(spliced.len(), 3);
         assert_eq!(spliced.bounds(), &[0, 1, 3, 4]);
         assert_eq!(spliced.statements()[1], Statement::GoBack);
-    }
-
-    #[test]
-    fn canonical_hash_ignores_var_numbering() {
-        use webrobot_lang::{parse_program, SelVar};
-        let t = trace(2);
-        let mut a = Item::initial(&t);
-        let mut b = Item::initial(&t);
-        let make = |v: u32| {
-            parse_program(&format!(
-                "foreach %r{v} in Dscts(eps, a) do {{\n  ScrapeText(%r{v})\n}}"
-            ))
-            .unwrap()
-            .into_statements()
-            .remove(0)
-        };
-        a.stmts[0] = make(0);
-        b.stmts[0] = make(9);
-        let _ = SelVar(0); // silence unused import lint in some cfgs
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
-        assert_ne!(a.canonical_hash(), Item::initial(&t).canonical_hash());
     }
 }

@@ -318,11 +318,11 @@ fn cartesian(
     choices: &[Vec<Statement>],
     cap: usize,
     deadline: Instant,
-) -> (Vec<Vec<Statement>>, bool) {
+) -> (Vec<Arc<[Statement]>>, bool) {
     if choices.iter().any(Vec::is_empty) {
         return (Vec::new(), true);
     }
-    let mut out: Vec<Vec<Statement>> = Vec::new();
+    let mut out: Vec<Arc<[Statement]>> = Vec::new();
     let mut odometer = vec![0usize; choices.len()];
     loop {
         out.push(
@@ -384,7 +384,7 @@ fn speculate_while(
                 continue;
             }
             let stmt = Statement::While(While {
-                body: stmts[i..p].to_vec(),
+                body: stmts[i..p].into(),
                 click: click.clone(),
             });
             push_unique(out, seen, ctx, stmt, i, p);
@@ -588,6 +588,7 @@ mod tests {
                 }
                 reference = next;
             }
+            let reference: Vec<Arc<[Statement]>> = reference.into_iter().map(Into::into).collect();
             let (got, complete) = cartesian(&choices, cap, far_deadline());
             proptest::prop_assert!(complete);
             proptest::prop_assert_eq!(got, reference);

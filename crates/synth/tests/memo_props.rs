@@ -82,7 +82,7 @@ fn canonical(seeds: &[LoopSeed]) -> Vec<Statement> {
             } => Statement::ForeachSel(ForeachSel {
                 var: *var,
                 list: list.clone(),
-                body: vec![template.clone()],
+                body: [template.clone()].into(),
             })
             .canonicalize(),
             LoopSeed::Vp {
@@ -92,7 +92,7 @@ fn canonical(seeds: &[LoopSeed]) -> Vec<Statement> {
             } => Statement::ForeachVal(ForeachVal {
                 var: *var,
                 list: list.clone(),
-                body: vec![template.clone()],
+                body: [template.clone()].into(),
             })
             .canonicalize(),
         })
