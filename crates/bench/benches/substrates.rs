@@ -1,11 +1,12 @@
 //! Criterion benches for the substrates the synthesizer leans on: trace
-//! semantics execution, selector resolution, alternative-selector
-//! enumeration, and ground-truth recording.
+//! semantics execution (the reference `execute` and the `Stepper`),
+//! selector resolution, alternative-selector enumeration, and ground-truth
+//! recording.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use webrobot_benchmarks::benchmark;
 use webrobot_dom::{alternatives, AltConfig};
-use webrobot_semantics::execute;
+use webrobot_semantics::{execute, Stepper};
 
 /// Trace-semantics simulation of a ground truth over its own recording —
 /// the inner operation of `Validate` (Alg. 3).
@@ -23,6 +24,36 @@ fn bench_execute(c: &mut Criterion) {
                         execute(b.ground_truth.statements(), r.trace.doms(), r.trace.input())
                             .unwrap(),
                     )
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+/// The same recordings driven one DOM at a time through the `Stepper`, the
+/// machine that validation, the incremental fast path, recording and live
+/// replay run; the `semantics_execute` rows price the reference next to it.
+fn bench_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("semantics_step");
+    for id in [73u32, 12, 31, 59] {
+        let b = benchmark(id).unwrap();
+        let rec = b.record().unwrap();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("b{id}")),
+            &rec,
+            |bench, r| {
+                bench.iter(|| {
+                    let mut stepper =
+                        Stepper::new(b.ground_truth.statements(), r.trace.input().clone());
+                    let mut actions = Vec::new();
+                    for dom in r.trace.doms() {
+                        match stepper.step(dom).unwrap() {
+                            Some(action) => actions.push(action),
+                            None => break,
+                        }
+                    }
+                    std::hint::black_box(actions)
                 });
             },
         );
@@ -116,6 +147,7 @@ fn bench_recording(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_execute,
+    bench_step,
     bench_alternatives,
     bench_path_resolution,
     bench_recording

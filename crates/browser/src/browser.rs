@@ -186,6 +186,30 @@ impl Browser {
             })
     }
 
+    /// Rewrites the selector of `action` to the absolute XPath of the node
+    /// it denotes on the current page (paper §7.1: the front-end records
+    /// absolute XPaths). Actions without a selector pass through unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`BrowserError::SelectorNotFound`] when the selector denotes no node.
+    pub fn absolutize(&self, action: Action) -> Result<Action, BrowserError> {
+        let Some(path) = action.selector() else {
+            return Ok(action);
+        };
+        let abs = self.dom.absolute_path(self.resolve(path, &action)?);
+        Ok(match action {
+            Action::Click(_) => Action::Click(abs),
+            Action::ScrapeText(_) => Action::ScrapeText(abs),
+            Action::ScrapeLink(_) => Action::ScrapeLink(abs),
+            Action::Download(_) => Action::Download(abs),
+            Action::SendKeys(_, s) => Action::SendKeys(abs, s),
+            Action::EnterData(_, v) => Action::EnterData(abs, v),
+            // Selector-free actions were returned above already.
+            a @ (Action::GoBack | Action::ExtractUrl) => a,
+        })
+    }
+
     /// Performs one action with its real side effects.
     ///
     /// # Errors

@@ -12,15 +12,18 @@
 //! * [`Browser`]: a live browser over a [`Site`] — performs [`Action`]s with
 //!   real side effects (navigation, history for `GoBack`, DOM mutation on
 //!   data entry) and collects scraped [`Output`]s,
-//! * [`run_program`]: a live executor that runs a web RPA [`Program`]
-//!   against a [`Browser`] (the counterpart of the *simulated* trace
-//!   semantics in `webrobot-semantics`),
-//! * [`record_demonstration`]: runs a ground-truth program while recording
-//!   the action/DOM [`Trace`] with **absolute XPaths**, reproducing the
-//!   paper's §7.1 experimental setup (500-action cap included).
+//! * [`run_program`]: runs a web RPA [`Program`] live against a
+//!   [`Browser`]. It evaluates no statement itself: it drives the trace
+//!   semantics' own machine, the [`Stepper`], with the live page after
+//!   each action, makes each action's selector absolute
+//!   ([`Browser::absolutize`]) and performs it,
+//! * [`record_demonstration`]: the same loop, recording the action/DOM
+//!   [`Trace`] with **absolute XPaths**, reproducing the paper's §7.1
+//!   experimental setup (500-action cap included).
 //!
 //! [`Action`]: webrobot_lang::Action
 //! [`Program`]: webrobot_lang::Program
+//! [`Stepper`]: webrobot_semantics::Stepper
 //! [`Trace`]: webrobot_semantics::Trace
 
 mod browser;

@@ -57,21 +57,13 @@ pub fn record_demonstration(
     limits: RecordLimits,
 ) -> Result<Recording, BrowserError> {
     let mut browser = Browser::new(site, input.clone());
-    let mut actions = Vec::new();
     let mut doms = Vec::new();
-    let outcome = run_observed(
-        &mut browser,
-        ground_truth,
-        limits.max_actions,
-        |action, pre| {
-            actions.push(action.clone());
-            doms.push(pre.snapshot());
-        },
-    )?;
-    debug_assert_eq!(actions.len(), outcome.actions.len());
+    let outcome = run_observed(&mut browser, ground_truth, limits.max_actions, |pre| {
+        doms.push(pre.snapshot())
+    })?;
     doms.push(browser.snapshot());
     Ok(Recording {
-        trace: Trace::from_parts(actions, doms, input),
+        trace: Trace::from_parts(outcome.actions, doms, input),
         outputs: browser.outputs().to_vec(),
         truncated: outcome.truncated,
     })

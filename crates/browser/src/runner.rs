@@ -1,9 +1,8 @@
-//! Live program execution: the real-side-effect counterpart of the trace
-//! semantics.
+//! Live program execution: the [`Stepper`] driven by the live page instead
+//! of a recorded DOM trace.
 
-use webrobot_data::{PathSeg, ValuePath};
-use webrobot_dom::Path;
-use webrobot_lang::{Action, SelVar, Selector, Statement, ValuePathExpr, VpVar};
+use webrobot_lang::{Action, Statement};
+use webrobot_semantics::{EvalError, Stepper};
 
 use crate::browser::{Browser, BrowserError};
 
@@ -20,10 +19,10 @@ pub struct RunOutcome {
 
 /// Runs `program` against `browser`, performing every action for real.
 ///
-/// Loop guards (`valid(ρ, π)`) are answered by the **live** DOM, so selector
-/// loops stop at the last matching element on the current page and while
-/// loops stop when the click target disappears — this is the execution the
-/// trace semantics simulates.
+/// This is the trace semantics' own machine, the [`Stepper`], fed the live
+/// DOM after every action: loop guards (`valid(ρ, π)`) are answered by the
+/// current page, so selector loops stop at the last matching element and
+/// while loops stop when the click target disappears.
 ///
 /// At most `max_actions` actions are performed (the paper caps ground-truth
 /// recordings at 500).
@@ -37,215 +36,49 @@ pub fn run_program(
     program: &[Statement],
     max_actions: usize,
 ) -> Result<RunOutcome, BrowserError> {
-    run_observed(browser, program, max_actions, |_, _| {})
+    run_observed(browser, program, max_actions, |_| {})
 }
 
-/// Like [`run_program`], but invokes `observe(action, browser)` right
-/// *before* each action is performed — the hook the trace recorder uses to
-/// snapshot the pre-action DOM.
+/// Like [`run_program`], but invokes `observe(browser)` right *before* each
+/// action is performed — the hook the trace recorder uses to snapshot the
+/// pre-action DOM.
 pub(crate) fn run_observed<F>(
     browser: &mut Browser,
     program: &[Statement],
     max_actions: usize,
-    observe: F,
+    mut observe: F,
 ) -> Result<RunOutcome, BrowserError>
 where
-    F: FnMut(&Action, &Browser),
+    F: FnMut(&Browser),
 {
-    let mut runner = Runner {
-        browser,
-        max_actions,
-        actions: Vec::new(),
-        env: Env::default(),
-        observe,
-    };
-    let flow = runner.exec_block(program)?;
+    let mut stepper = Stepper::new(program, browser.input().clone());
+    let mut actions = Vec::new();
+    while let Some(action) = stepper.step(browser.dom()).map_err(open_program)? {
+        // The cap comes before resolution: a capped run reports truncation
+        // even when its next selector would not resolve.
+        if actions.len() >= max_actions {
+            return Ok(RunOutcome {
+                actions,
+                truncated: true,
+            });
+        }
+        let absolute = browser.absolutize(action)?;
+        observe(browser);
+        browser.perform(&absolute)?;
+        actions.push(absolute);
+    }
     Ok(RunOutcome {
-        actions: runner.actions,
-        truncated: flow == Flow::Capped,
+        actions,
+        truncated: false,
     })
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    Continue,
-    Capped,
-}
-
-#[derive(Debug, Default)]
-struct Env {
-    sel: Vec<(SelVar, Path)>,
-    vp: Vec<(VpVar, ValuePath)>,
-}
-
-impl Env {
-    fn resolve_selector(&self, s: &Selector) -> Result<Path, BrowserError> {
-        match s.base_var() {
-            None => Ok(s.path.clone()),
-            Some(v) => {
-                let binding = self
-                    .sel
-                    .iter()
-                    .rev()
-                    .find(|(var, _)| *var == v)
-                    .map(|(_, p)| p)
-                    .ok_or_else(|| BrowserError::OpenProgram {
-                        variable: v.to_string(),
-                    })?;
-                Ok(binding.concat(&s.path))
-            }
-        }
-    }
-
-    fn resolve_vp(&self, v: &ValuePathExpr) -> Result<ValuePath, BrowserError> {
-        match v.base_var() {
-            None => Ok(v.path.clone()),
-            Some(var) => {
-                let binding = self
-                    .vp
-                    .iter()
-                    .rev()
-                    .find(|(x, _)| *x == var)
-                    .map(|(_, p)| p)
-                    .ok_or_else(|| BrowserError::OpenProgram {
-                        variable: var.to_string(),
-                    })?;
-                Ok(binding.concat(&v.path))
-            }
-        }
-    }
-}
-
-struct Runner<'a, F> {
-    browser: &'a mut Browser,
-    max_actions: usize,
-    actions: Vec<Action>,
-    env: Env,
-    observe: F,
-}
-
-impl<F: FnMut(&Action, &Browser)> Runner<'_, F> {
-    fn exec_block(&mut self, stmts: &[Statement]) -> Result<Flow, BrowserError> {
-        for s in stmts {
-            if self.exec_stmt(s)? == Flow::Capped {
-                return Ok(Flow::Capped);
-            }
-        }
-        Ok(Flow::Continue)
-    }
-
-    /// Rewrites the selector of `action` to the absolute XPath of the node
-    /// it denotes on the live DOM (paper §7.1: the front-end records
-    /// absolute XPaths), then performs it.
-    fn perform(&mut self, action: Action) -> Result<Flow, BrowserError> {
-        if self.actions.len() >= self.max_actions {
-            return Ok(Flow::Capped);
-        }
-        let absolute = match action.selector() {
-            None => action,
-            Some(path) => {
-                let node = path.resolve(self.browser.dom()).ok_or_else(|| {
-                    BrowserError::SelectorNotFound {
-                        action: action.to_string(),
-                    }
-                })?;
-                let abs = self.browser.dom().absolute_path(node);
-                match action {
-                    Action::Click(_) => Action::Click(abs),
-                    Action::ScrapeText(_) => Action::ScrapeText(abs),
-                    Action::ScrapeLink(_) => Action::ScrapeLink(abs),
-                    Action::Download(_) => Action::Download(abs),
-                    Action::SendKeys(_, s) => Action::SendKeys(abs, s),
-                    Action::EnterData(_, v) => Action::EnterData(abs, v),
-                    Action::GoBack | Action::ExtractUrl => unreachable!("no selector"),
-                }
-            }
-        };
-        (self.observe)(&absolute, self.browser);
-        self.browser.perform(&absolute)?;
-        self.actions.push(absolute);
-        Ok(Flow::Continue)
-    }
-
-    fn exec_stmt(&mut self, stmt: &Statement) -> Result<Flow, BrowserError> {
-        match stmt {
-            Statement::Click(s) => {
-                let p = self.env.resolve_selector(s)?;
-                self.perform(Action::Click(p))
-            }
-            Statement::ScrapeText(s) => {
-                let p = self.env.resolve_selector(s)?;
-                self.perform(Action::ScrapeText(p))
-            }
-            Statement::ScrapeLink(s) => {
-                let p = self.env.resolve_selector(s)?;
-                self.perform(Action::ScrapeLink(p))
-            }
-            Statement::Download(s) => {
-                let p = self.env.resolve_selector(s)?;
-                self.perform(Action::Download(p))
-            }
-            Statement::GoBack => self.perform(Action::GoBack),
-            Statement::ExtractUrl => self.perform(Action::ExtractUrl),
-            Statement::SendKeys(s, text) => {
-                let p = self.env.resolve_selector(s)?;
-                self.perform(Action::SendKeys(p, text.clone()))
-            }
-            Statement::EnterData(s, v) => {
-                let p = self.env.resolve_selector(s)?;
-                let vp = self.env.resolve_vp(v)?;
-                self.perform(Action::EnterData(p, vp))
-            }
-            Statement::ForeachSel(l) => {
-                let base = self.env.resolve_selector(&l.list.base)?;
-                let mut i = 1usize;
-                loop {
-                    let element = l.list.element(&base, i);
-                    if !element.valid(self.browser.dom()) {
-                        return Ok(Flow::Continue);
-                    }
-                    self.env.sel.push((l.var, element));
-                    let flow = self.exec_block(&l.body)?;
-                    self.env.sel.pop();
-                    if flow == Flow::Capped {
-                        return Ok(Flow::Capped);
-                    }
-                    i += 1;
-                }
-            }
-            Statement::ForeachVal(l) => {
-                let array_path = self.env.resolve_vp(&l.list.array)?;
-                let count = self
-                    .browser
-                    .input()
-                    .get_array(&array_path)
-                    .map(|a| a.len())
-                    .unwrap_or(0);
-                for i in 1..=count {
-                    let element = array_path.join(PathSeg::Index(i));
-                    self.env.vp.push((l.var, element));
-                    let flow = self.exec_block(&l.body)?;
-                    self.env.vp.pop();
-                    if flow == Flow::Capped {
-                        return Ok(Flow::Capped);
-                    }
-                }
-                Ok(Flow::Continue)
-            }
-            Statement::While(w) => loop {
-                if self.exec_block(&w.body)? == Flow::Capped {
-                    return Ok(Flow::Capped);
-                }
-                let click = self.env.resolve_selector(&w.click)?;
-                if !click.valid(self.browser.dom()) {
-                    return Ok(Flow::Continue);
-                }
-                if self.perform(Action::Click(click))? == Flow::Capped {
-                    return Ok(Flow::Capped);
-                }
-            },
-        }
-    }
+fn open_program(e: EvalError) -> BrowserError {
+    let variable = match e {
+        EvalError::UnboundSelVar(v) => v.to_string(),
+        EvalError::UnboundVpVar(v) => v.to_string(),
+    };
+    BrowserError::OpenProgram { variable }
 }
 
 #[cfg(test)]

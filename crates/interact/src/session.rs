@@ -100,27 +100,19 @@ impl Event {
     }
 }
 
+/// Consecutive accepted predictions before switching to automation (the
+/// paper's "after a couple of rounds, WebRobot takes over").
+const ACCEPTS_BEFORE_AUTOMATION: usize = 2;
+
+/// Hard cap on automated actions (runaway protection). Reaching the cap
+/// finishes the session.
+const MAX_AUTOMATION_STEPS: usize = 10_000;
+
 /// Session tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
     /// Synthesizer configuration.
     pub synth: SynthConfig,
-    /// Consecutive accepted predictions before switching to automation
-    /// (the paper's "after a couple of rounds, WebRobot takes over").
-    pub accepts_before_automation: usize,
-    /// Hard cap on automated actions (runaway protection). Reaching the
-    /// cap finishes the session.
-    pub max_automation_steps: usize,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            synth: SynthConfig::default(),
-            accepts_before_automation: 2,
-            max_automation_steps: 10_000,
-        }
-    }
 }
 
 /// What a session step did.
@@ -140,9 +132,10 @@ pub enum StepOutcome {
     Finished,
 }
 
-/// The half-finished step a parked synthesis quantum left behind: the
-/// action has already been performed and recorded; the prediction
-/// refresh and the mode transition run when the search concludes.
+/// A step whose action has been performed and recorded, waiting on
+/// synthesis: the prediction refresh and the mode transition run when the
+/// search concludes (at once in [`Session::handle`], after however many
+/// quanta in [`Session::handle_quantum`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum PendingStep {
     /// A demonstration (outcome [`StepOutcome::Recorded`]).
@@ -264,9 +257,8 @@ pub struct Session {
     executed: Vec<Action>,
     automated_steps: usize,
     last_program: Option<webrobot_lang::Program>,
-    /// The half-finished step of a parked sliced synthesis (see
-    /// [`Session::handle_quantum`]); `None` whenever the session is
-    /// driven through the unsliced [`Session::handle`].
+    /// The step waiting on synthesis; between events `Some` only while a
+    /// sliced search is parked (see [`Session::handle_quantum`]).
     pending: Option<PendingStep>,
 }
 
@@ -358,44 +350,11 @@ impl Session {
     /// - [`SessionError::InvalidPrediction`] for an out-of-range accept;
     /// - [`SessionError::Browser`] when an action fails to replay.
     pub fn handle(&mut self, event: Event) -> Result<StepOutcome, SessionError> {
-        if self.mode == Mode::Done {
-            return Err(SessionError::SessionClosed);
+        if let Some(outcome) = self.begin(event)? {
+            return Ok(outcome);
         }
-        match event {
-            Event::Demonstrate(ref action) => match self.mode {
-                Mode::Demonstrate | Mode::Authorize => self.do_demonstrate(action),
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            Event::Accept { index } => match self.mode {
-                Mode::Authorize => self.do_accept(index),
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            Event::RejectAll => match self.mode {
-                Mode::Authorize => Ok(self.do_reject_all()),
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            Event::AutomateStep => match self.mode {
-                Mode::Automate => self.do_automate_step(),
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            Event::Interrupt => Ok(self.do_interrupt()),
-            Event::Finish => {
-                self.mode = Mode::Done;
-                Ok(StepOutcome::Finished)
-            }
-        }
+        let result = self.synth.synthesize();
+        Ok(self.conclude(result))
     }
 
     /// Dispatches one event like [`Session::handle`], but bounds the
@@ -427,63 +386,9 @@ impl Session {
             self.pending.is_none(),
             "finish the parked step before dispatching the next event"
         );
-        if self.mode == Mode::Done {
-            return Err(SessionError::SessionClosed);
-        }
-        match event {
-            Event::Demonstrate(ref action) => match self.mode {
-                Mode::Demonstrate | Mode::Authorize => {
-                    self.perform_and_record(action)?;
-                    self.consecutive_accepts = 0;
-                    self.pending = Some(PendingStep::Demonstrated);
-                    Ok(self.run_quantum(budget))
-                }
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            Event::Accept { index } => match self.mode {
-                Mode::Authorize => {
-                    let Some(action) = self.predictions.get(index).cloned() else {
-                        return Err(SessionError::InvalidPrediction {
-                            index,
-                            available: self.predictions.len(),
-                        });
-                    };
-                    self.perform_and_record(&action)?;
-                    self.consecutive_accepts += 1;
-                    self.pending = Some(PendingStep::Accepted);
-                    Ok(self.run_quantum(budget))
-                }
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            Event::AutomateStep => match self.mode {
-                Mode::Automate => {
-                    if self.automated_steps >= self.cfg.max_automation_steps {
-                        self.mode = Mode::Done;
-                        return Ok(Some(StepOutcome::ProgramFinished));
-                    }
-                    let Some(action) = self.predictions.first().cloned() else {
-                        self.mode = Mode::Demonstrate;
-                        self.consecutive_accepts = 0;
-                        return Ok(Some(StepOutcome::ProgramFinished));
-                    };
-                    self.perform_and_record(&action)?;
-                    self.automated_steps += 1;
-                    self.pending = Some(PendingStep::Automated(action));
-                    Ok(self.run_quantum(budget))
-                }
-                mode => Err(SessionError::WrongMode {
-                    event: event.name(),
-                    mode,
-                }),
-            },
-            // Synthesis-free events complete through the unsliced path.
-            other => self.handle(other).map(Some),
+        match self.begin(event)? {
+            Some(outcome) => Ok(Some(outcome)),
+            None => Ok(self.run_quantum(budget)),
         }
     }
 
@@ -504,22 +409,91 @@ impl Session {
         self.pending.is_some()
     }
 
-    /// One synthesis quantum for the pending step; on completion, runs
-    /// the step's deferred tail (prediction refresh + mode transition)
-    /// exactly as the unsliced event handler would.
+    /// One synthesis quantum for the pending step, concluding it once the
+    /// search completes.
     fn run_quantum(&mut self, budget: Duration) -> Option<StepOutcome> {
         self.pending.as_ref()?;
         let result = self.synth.synthesize_quantum(budget);
         if result.stats.parked {
             return None;
         }
-        let pending = self.pending.take()?;
-        self.apply_synthesis(result);
-        Some(match pending {
+        Some(self.conclude(result))
+    }
+
+    /// The event × mode table up to synthesis: checks the event against
+    /// the mode and performs its action. Returns the outcome of an event
+    /// that needs no synthesis, or `None` once a step is pending.
+    fn begin(&mut self, event: Event) -> Result<Option<StepOutcome>, SessionError> {
+        if self.mode == Mode::Done {
+            return Err(SessionError::SessionClosed);
+        }
+        let name = event.name();
+        let step = match (event, self.mode) {
+            (Event::Demonstrate(action), Mode::Demonstrate | Mode::Authorize) => {
+                self.perform_and_record(action)?;
+                self.consecutive_accepts = 0;
+                PendingStep::Demonstrated
+            }
+            (Event::Accept { index }, Mode::Authorize) => {
+                let Some(action) = self.predictions.get(index).cloned() else {
+                    return Err(SessionError::InvalidPrediction {
+                        index,
+                        available: self.predictions.len(),
+                    });
+                };
+                self.perform_and_record(action)?;
+                self.consecutive_accepts += 1;
+                PendingStep::Accepted
+            }
+            (Event::RejectAll, Mode::Authorize) => {
+                return Ok(Some(self.discard(StepOutcome::NeedDemonstration)));
+            }
+            (Event::AutomateStep, Mode::Automate) => {
+                if self.automated_steps >= MAX_AUTOMATION_STEPS {
+                    self.mode = Mode::Done;
+                    return Ok(Some(StepOutcome::ProgramFinished));
+                }
+                let Some(action) = self.predictions.first().cloned() else {
+                    self.mode = Mode::Demonstrate;
+                    self.consecutive_accepts = 0;
+                    return Ok(Some(StepOutcome::ProgramFinished));
+                };
+                self.perform_and_record(action.clone())?;
+                self.automated_steps += 1;
+                PendingStep::Automated(action)
+            }
+            (Event::Interrupt, _) => return Ok(Some(self.discard(StepOutcome::Interrupted))),
+            (Event::Finish, _) => {
+                self.mode = Mode::Done;
+                return Ok(Some(StepOutcome::Finished));
+            }
+            (_, mode) => return Err(SessionError::WrongMode { event: name, mode }),
+        };
+        self.pending = Some(step);
+        Ok(None)
+    }
+
+    /// The shared tail of every synthesis, sliced or not: cached program,
+    /// predictions, the demonstrate/authorize split, and the pending
+    /// step's own mode transition.
+    fn conclude(&mut self, result: webrobot_synth::SynthResult) -> StepOutcome {
+        let Some(step) = self.pending.take() else {
+            unreachable!("a synthesis concludes only a pending step");
+        };
+        if let Some(best) = result.programs.first() {
+            self.last_program = Some(best.program.clone());
+        }
+        self.predictions = result.predictions;
+        self.mode = if self.predictions.is_empty() {
+            Mode::Demonstrate
+        } else {
+            Mode::Authorize
+        };
+        match step {
             PendingStep::Demonstrated => StepOutcome::Recorded,
             PendingStep::Accepted => {
                 if self.mode == Mode::Authorize
-                    && self.consecutive_accepts >= self.cfg.accepts_before_automation
+                    && self.consecutive_accepts >= ACCEPTS_BEFORE_AUTOMATION
                 {
                     self.mode = Mode::Automate;
                 }
@@ -532,127 +506,30 @@ impl Session {
                 }
                 StepOutcome::Automated(action)
             }
-        })
-    }
-
-    /// Rewrites an action's selector to the absolute XPath of the node it
-    /// denotes on the current page (what the front-end records). Actions
-    /// without a selector pass through unchanged.
-    fn absolutize(&self, action: &Action) -> Result<Action, BrowserError> {
-        let Some(path) = action.selector() else {
-            return Ok(action.clone());
-        };
-        let node =
-            path.resolve(self.browser.dom())
-                .ok_or_else(|| BrowserError::SelectorNotFound {
-                    action: action.to_string(),
-                })?;
-        let abs = self.browser.dom().absolute_path(node);
-        Ok(match action.clone() {
-            Action::Click(_) => Action::Click(abs),
-            Action::ScrapeText(_) => Action::ScrapeText(abs),
-            Action::ScrapeLink(_) => Action::ScrapeLink(abs),
-            Action::Download(_) => Action::Download(abs),
-            Action::SendKeys(_, s) => Action::SendKeys(abs, s),
-            Action::EnterData(_, v) => Action::EnterData(abs, v),
-            // Selector-free actions were returned above already.
-            a @ (Action::GoBack | Action::ExtractUrl) => a,
-        })
+        }
     }
 
     /// Executes `action` on the browser and records it in the trace.
-    fn perform_and_record(&mut self, action: &Action) -> Result<Action, BrowserError> {
-        let absolute = self.absolutize(action)?;
+    fn perform_and_record(&mut self, action: Action) -> Result<(), BrowserError> {
+        let absolute = self.browser.absolutize(action)?;
         self.browser.perform(&absolute)?;
         self.synth
             .observe(absolute.clone(), self.browser.snapshot());
-        self.executed.push(absolute.clone());
-        Ok(absolute)
+        self.executed.push(absolute);
+        Ok(())
     }
 
-    fn do_demonstrate(&mut self, action: &Action) -> Result<StepOutcome, SessionError> {
-        self.perform_and_record(action)?;
-        self.consecutive_accepts = 0;
-        self.refresh_predictions();
-        Ok(StepOutcome::Recorded)
-    }
-
-    fn refresh_predictions(&mut self) {
-        let result = self.synth.synthesize();
-        self.apply_synthesis(result);
-    }
-
-    /// The shared tail of every synthesis — sliced or not: cached
-    /// program, predictions, and the demonstrate/authorize mode split.
-    fn apply_synthesis(&mut self, result: webrobot_synth::SynthResult) {
-        if let Some(best) = result.programs.first() {
-            self.last_program = Some(best.program.clone());
-        }
-        self.predictions = result.predictions;
-        self.mode = if self.predictions.is_empty() {
-            Mode::Demonstrate
-        } else {
-            Mode::Authorize
-        };
-    }
-
-    fn do_accept(&mut self, index: usize) -> Result<StepOutcome, SessionError> {
-        let Some(action) = self.predictions.get(index).cloned() else {
-            return Err(SessionError::InvalidPrediction {
-                index,
-                available: self.predictions.len(),
-            });
-        };
-        self.perform_and_record(&action)?;
-        self.consecutive_accepts += 1;
-        self.refresh_predictions();
-        if self.mode == Mode::Authorize
-            && self.consecutive_accepts >= self.cfg.accepts_before_automation
-        {
-            self.mode = Mode::Automate;
-        }
-        Ok(StepOutcome::Recorded)
-    }
-
-    fn do_reject_all(&mut self) -> StepOutcome {
+    /// `RejectAll` and `Interrupt`. Interrupt semantics (pinned by
+    /// `interrupt_discards_cached_program`): an interrupt is a rejection
+    /// of the *running program*, not just of the pending predictions, so
+    /// the cached last-generalizing program is discarded too — it must not
+    /// resurface via [`Session::current_program`].
+    fn discard(&mut self, outcome: StepOutcome) -> StepOutcome {
         self.predictions.clear();
         self.consecutive_accepts = 0;
         self.last_program = None;
         self.mode = Mode::Demonstrate;
-        StepOutcome::NeedDemonstration
-    }
-
-    fn do_automate_step(&mut self) -> Result<StepOutcome, SessionError> {
-        if self.automated_steps >= self.cfg.max_automation_steps {
-            self.mode = Mode::Done;
-            return Ok(StepOutcome::ProgramFinished);
-        }
-        let Some(action) = self.predictions.first().cloned() else {
-            self.mode = Mode::Demonstrate;
-            self.consecutive_accepts = 0;
-            return Ok(StepOutcome::ProgramFinished);
-        };
-        self.perform_and_record(&action)?;
-        self.automated_steps += 1;
-        self.refresh_predictions();
-        if self.mode == Mode::Authorize {
-            // Stay in automation while predictions keep coming.
-            self.mode = Mode::Automate;
-        }
-        Ok(StepOutcome::Automated(action))
-    }
-
-    /// Interrupt semantics (pinned by `interrupt_discards_cached_program`):
-    /// an interrupt is a rejection of the *running program*, not just of
-    /// the pending predictions, so the cached last-generalizing program is
-    /// discarded too — it must not resurface via
-    /// [`Session::current_program`].
-    fn do_interrupt(&mut self) -> StepOutcome {
-        self.predictions.clear();
-        self.consecutive_accepts = 0;
-        self.last_program = None;
-        self.mode = Mode::Demonstrate;
-        StepOutcome::Interrupted
+        outcome
     }
 
     // ───────────────────── snapshot / restore ─────────────────────
@@ -707,7 +584,7 @@ impl Session {
     pub fn restore(snap: &SessionSnapshot) -> Result<Session, SessionError> {
         let mut session = Session::new(snap.site.clone(), snap.input.clone(), snap.cfg.clone());
         for action in &snap.executed {
-            session.perform_and_record(action)?;
+            session.perform_and_record(action.clone())?;
         }
         // A fresh synthesizer already is the state at trace length 0.
         if !snap.executed.is_empty() {

@@ -1,5 +1,13 @@
-//! The simulated interpreter (paper Fig. 7 and the auxiliary rules of
+//! The reference interpreter (paper Fig. 7 and the auxiliary rules of
 //! Fig. 8).
+//!
+//! [`execute`] states the rules directly, one recursive call per
+//! statement, over a whole recorded DOM trace. Validation, the incremental
+//! fast path and live runs use the [`Stepper`](crate::Stepper); this
+//! interpreter is the reference it is checked against (its unit tests, the
+//! ground-truth property test and the differential harness's unoptimized
+//! variant) and the definition behind [`satisfies`](crate::satisfies) and
+//! [`generalizes`](crate::generalizes).
 
 use std::error::Error;
 use std::fmt;

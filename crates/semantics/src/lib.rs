@@ -11,8 +11,13 @@
 //!
 //! The crate provides:
 //!
-//! * [`execute`] — the interpreter (Fig. 7 rules, including lazy selector
-//!   loops, eager value-path loops and click-terminated while loops),
+//! * [`Stepper`] — the machine: the Fig. 7 rules (lazy selector loops,
+//!   eager value-path loops, click-terminated while loops) as a resumable
+//!   machine that takes one DOM per step. Validation, the incremental
+//!   fast path, live replay and trace recording all run it,
+//! * [`execute`] — the reference: the same rules as a direct recursive
+//!   interpreter over a whole DOM trace, the executable statement of
+//!   Fig. 7 that the `Stepper` is checked against,
 //! * [`action_consistent`] / [`trace_consistent`] — the DOM-node-identity
 //!   based consistency relation of Def. 4.1,
 //! * [`satisfies`] and [`generalizes`] — Defs. 4.1 and 4.2,

@@ -1,18 +1,22 @@
-//! A resumable interpreter: [`execute`](crate::execute) refactored into an
-//! explicit-stack machine that consumes one DOM per [`Stepper::step`] call.
+//! The machine that runs programs: [`execute`](crate::execute) refactored
+//! into an explicit-stack machine that consumes one DOM per
+//! [`Stepper::step`] call.
 //!
-//! This is the engine of the *true incremental fast path* (paper §5.4 /
+//! It is the engine of the *true incremental fast path* (paper §5.4 /
 //! §7.2): a cached generalizing program keeps a `Stepper` that has already
 //! consumed the whole demonstration, so checking it against one newly
 //! observed action costs one `step` — O(1) in the trace length — instead
 //! of a full re-execution. The same machine drives validation (Alg. 3)
-//! with per-action early abort.
+//! with per-action early abort, and `webrobot_browser` drives it live: the
+//! caller hands it the page it is on after each action, so live replay
+//! and ground-truth recording answer loop guards on the live DOM.
 //!
 //! The machine is action-trace equivalent to [`execute`]: feeding the DOMs
 //! of a trace one at a time yields exactly `execute(..).actions`, in
-//! order (a unit test and the suite-wide differential harness both pin
-//! this down). Equivalence is what makes the fast path a *proof-carrying*
-//! optimization rather than an approximation.
+//! order (a unit test, a property test over the suite's ground truths and
+//! the differential harness all pin this down). Equivalence is what makes
+//! the fast path a *proof-carrying* optimization rather than an
+//! approximation, and what lets live runs stand for the trace semantics.
 //!
 //! Statement blocks are shared as `Arc<[Statement]>`, the program's own
 //! loop bodies, so entering a loop or an iteration is a pointer bump, not
