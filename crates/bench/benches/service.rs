@@ -319,7 +319,7 @@ fn churn_session(id: u32) -> (SessionManager, SessionId) {
 ///   its stop point, whose engine digest holds about 126 items.
 fn bench_evict_thrash(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_evict");
-    group.sample_size(10);
+    group.sample_size(200);
     let sessions = 4usize;
     group.throughput(Throughput::Elements(sessions as u64));
     group.bench_with_input(
@@ -592,7 +592,6 @@ fn bench_store(c: &mut Criterion) {
                 commit_ops: ops,
                 commit_bytes: u64::MAX,
                 commit_interval: std::time::Duration::from_secs(3600),
-                ..SegmentConfig::default()
             },
             &dir,
         )

@@ -81,22 +81,19 @@ pub enum RequestKind {
     Close,
     /// `{"kind":"checkpoint"}` — force a durable checkpoint.
     Checkpoint,
-    /// `{"kind":"recover"}` — reload sessions from the store.
-    Recover,
     /// A frame that failed to decode as any v1 request.
     Malformed,
 }
 
 impl RequestKind {
     /// Every kind, in snapshot order.
-    pub const ALL: [RequestKind; 8] = [
+    pub const ALL: [RequestKind; 7] = [
         RequestKind::Create,
         RequestKind::Event,
         RequestKind::Outputs,
         RequestKind::Metrics,
         RequestKind::Close,
         RequestKind::Checkpoint,
-        RequestKind::Recover,
         RequestKind::Malformed,
     ];
 
@@ -109,7 +106,6 @@ impl RequestKind {
             RequestKind::Metrics => "metrics",
             RequestKind::Close => "close",
             RequestKind::Checkpoint => "checkpoint",
-            RequestKind::Recover => "recover",
             RequestKind::Malformed => "malformed",
         }
     }

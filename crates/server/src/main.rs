@@ -9,8 +9,7 @@
 //! is registered so the server is drivable out of the box. `--store DIR`
 //! attaches a persistent store rooted at `DIR`, making sessions survive
 //! a restart: one log-structured [`webrobot_service::SegmentStore`]
-//! shared by all shards (a directory of `<key>.json` records, as earlier
-//! releases wrote it, is imported on open). Once bound, the server prints
+//! shared by all shards. Once bound, the server prints
 //! `webrobot-server listening on <addr> (<n> shards)` and serves until a
 //! client sends the drain frame. `crates/server/tests/binary.rs` drives
 //! this binary end to end, including a SIGKILL and restart on one store.

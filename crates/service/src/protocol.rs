@@ -102,9 +102,6 @@ pub enum Request {
     /// Flush every session (and the manager metadata) to the attached
     /// snapshot store, bounding the data-loss window under a hard kill.
     Checkpoint,
-    /// Adopt sessions from the attached snapshot store that this manager
-    /// does not yet track (e.g. records written by another process).
-    Recover,
 }
 
 impl Request {
@@ -154,7 +151,6 @@ impl Request {
                 session: require_str(&value, "session")?.to_string(),
             }),
             "checkpoint" => Ok(Request::Checkpoint),
-            "recover" => Ok(Request::Recover),
             other => Err(ProtocolError::bad(format!(
                 "unknown request kind '{other}'"
             ))),
@@ -195,7 +191,6 @@ impl Request {
                 fields.push(("session".to_string(), Value::str(session.clone())));
             }
             Request::Checkpoint => fields.push(("kind".to_string(), Value::str("checkpoint"))),
-            Request::Recover => fields.push(("kind".to_string(), Value::str("recover"))),
         }
         Value::Object(fields).to_json()
     }
@@ -250,11 +245,6 @@ pub enum Response {
     /// The manager was flushed to its snapshot store.
     Checkpointed {
         /// How many session records the store now holds for this manager.
-        sessions: usize,
-    },
-    /// Sessions were adopted from the snapshot store.
-    Recovered {
-        /// How many previously untracked sessions were adopted.
         sessions: usize,
     },
     /// The request failed.
@@ -319,10 +309,6 @@ impl Response {
             }
             Response::Checkpointed { sessions } => {
                 ok(&mut fields, "checkpointed");
-                fields.push(("sessions".to_string(), Value::Int(*sessions as i64)));
-            }
-            Response::Recovered { sessions } => {
-                ok(&mut fields, "recovered");
                 fields.push(("sessions".to_string(), Value::Int(*sessions as i64)));
             }
             Response::Error { code, message } => {
@@ -698,7 +684,6 @@ pub(crate) fn request_kind(request: &Request) -> RequestKind {
         Request::Metrics => RequestKind::Metrics,
         Request::Close { .. } => RequestKind::Close,
         Request::Checkpoint => RequestKind::Checkpoint,
-        Request::Recover => RequestKind::Recover,
     }
 }
 
@@ -786,7 +771,6 @@ mod tests {
                 session: "s-1".to_string(),
             },
             Request::Checkpoint,
-            Request::Recover,
         ];
         for request in requests {
             assert_eq!(Request::from_json(&request.to_json()).unwrap(), request);
@@ -807,8 +791,10 @@ mod tests {
             "not json",
             r#"{"v": 1}"#,
             r#"{"v": 1, "kind": "teleport"}"#,
-            // The retired flat-stats request is an unknown kind.
+            // The retired flat-stats and recover requests are unknown
+            // kinds.
             r#"{"v": 1, "kind": "stats"}"#,
+            r#"{"v": 1, "kind": "recover"}"#,
             r#"{"v": 1, "kind": "event", "session": "s-1"}"#,
             r#"{"v": 1, "kind": "event", "session": "s-1", "event": {"type": "warp"}}"#,
             r#"{"v": 1, "kind": "create"}"#,

@@ -196,8 +196,9 @@ impl ShardedManager {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when `stores` is empty or any store fails to open
-    /// and enumerate (a corrupt record fails the reopen fast; see
+    /// [`StoreError`] when `stores` is empty or any shard's reopen fails
+    /// (a corrupt metadata record or a hostile session key; session
+    /// records are read on first touch — see
     /// [`SessionManager::with_store`]).
     pub fn with_stores(
         cfg: ServiceConfig,
@@ -341,7 +342,7 @@ impl ShardedManager {
             // Durability requests fan out to every shard (each owns a
             // disjoint slice of the sessions and its own store handle)
             // and report the summed session count.
-            Request::Checkpoint | Request::Recover => self.broadcast_durability(request),
+            Request::Checkpoint => self.broadcast_checkpoint(),
         }
     }
 
@@ -400,28 +401,22 @@ impl ShardedManager {
 
     // ───────────────────── internals ─────────────────────
 
-    /// Fans a `checkpoint`/`recover` request out to every shard and sums
-    /// the per-shard session counts; the first shard error (in shard
-    /// order) wins (shards already flushed stay flushed — both
-    /// operations are idempotent). All shards are sent the request
-    /// *before* any reply is awaited, so the shards' store I/O runs
-    /// concurrently and wire-visible latency is bounded by the slowest
-    /// shard, not the sum.
-    fn broadcast_durability(&self, request: Request) -> Response {
+    /// Fans a `checkpoint` out to every shard and sums the per-shard
+    /// session counts; the first shard error (in shard order) wins
+    /// (shards already flushed stay flushed — a checkpoint is
+    /// idempotent). All shards are sent the request *before* any reply
+    /// is awaited, so the shards' store I/O runs concurrently and
+    /// wire-visible latency is bounded by the slowest shard, not the sum.
+    fn broadcast_checkpoint(&self) -> Response {
         let mut total = 0usize;
-        for (shard, reply) in self.fan_out(&request).into_iter().enumerate() {
+        for (shard, reply) in self.fan_out(&Request::Checkpoint).into_iter().enumerate() {
             match reply {
-                Some(Response::Checkpointed { sessions } | Response::Recovered { sessions }) => {
-                    total += sessions
-                }
+                Some(Response::Checkpointed { sessions }) => total += sessions,
                 Some(error) => return error,
                 None => return shard_down_response(shard),
             }
         }
-        match request {
-            Request::Checkpoint => Response::Checkpointed { sessions: total },
-            _ => Response::Recovered { sessions: total },
-        }
+        Response::Checkpointed { sessions: total }
     }
 
     /// Sends `request` to **every** shard before awaiting any reply, so
@@ -632,9 +627,9 @@ fn shard_loop(manager: SessionManager, jobs: Receiver<Job>, ctx: ShardCtx) {
 ///   session's next request waits for the parked step to finish.
 /// * `create`/`metrics`/`register` have no session state in flight and
 ///   run immediately on ingest, between quanta.
-/// * `checkpoint`/`recover` are *barriers*: every parked session's
-///   in-flight step is first driven to completion (a snapshot must never
-///   observe a half-applied step), then the durability request runs.
+/// * `checkpoint` is a *barrier*: every parked session's in-flight step
+///   is first driven to completion (a snapshot must never observe a
+///   half-applied step), then the checkpoint runs.
 ///
 /// When the front end hangs up, the scheduler drains all remaining work
 /// to completion before the thread exits (preserving the flush-on-drop
@@ -642,7 +637,7 @@ fn shard_loop(manager: SessionManager, jobs: Receiver<Job>, ctx: ShardCtx) {
 fn serve(manager: &mut SessionManager, jobs: &Receiver<Job>, ctx: &ShardCtx) {
     let mut queues: BTreeMap<String, SessionQueue> = BTreeMap::new();
     let mut ready: VecDeque<String> = VecDeque::new();
-    let mut barriers: VecDeque<(Request, Sender<Response>)> = VecDeque::new();
+    let mut barriers: VecDeque<Sender<Response>> = VecDeque::new();
     let mut connected = true;
 
     while connected || !ready.is_empty() || !barriers.is_empty() {
@@ -665,7 +660,7 @@ fn serve(manager: &mut SessionManager, jobs: &Receiver<Job>, ctx: &ShardCtx) {
             }
         }
 
-        if let Some((request, reply)) = barriers.pop_front() {
+        if let Some(reply) = barriers.pop_front() {
             // Finish every parked step before snapshotting, so the
             // barrier never observes a session mid-quantum: a step that
             // parks again goes back into `ready` and is found again.
@@ -676,7 +671,7 @@ fn serve(manager: &mut SessionManager, jobs: &Receiver<Job>, ctx: &ShardCtx) {
                 let key = ready.remove(pos).expect("position is in range");
                 run_session(manager, ctx, &mut queues, &mut ready, key, ctx.quantum);
             }
-            let response = manager.handle(request);
+            let response = manager.handle(Request::Checkpoint);
             // Release the admission slot *before* replying: a caller that
             // has seen the response must never find the slot still taken.
             ctx.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -705,7 +700,7 @@ fn ingest(
     ctx: &ShardCtx,
     queues: &mut BTreeMap<String, SessionQueue>,
     ready: &mut VecDeque<String>,
-    barriers: &mut VecDeque<(Request, Sender<Response>)>,
+    barriers: &mut VecDeque<Sender<Response>>,
 ) {
     match job {
         Job::Register {
@@ -728,7 +723,7 @@ fn ingest(
                 }
                 queue.jobs.push_back((request, reply));
             }
-            Request::Checkpoint | Request::Recover => barriers.push_back((request, reply)),
+            Request::Checkpoint => barriers.push_back(reply),
             // Create/Metrics touch no in-flight session state: answer now.
             other => {
                 // A metrics scrape also publishes this shard's scheduler

@@ -5,18 +5,16 @@
 //! subset ([`webrobot_data::Value`]): the `webrobot_service` crate spills
 //! serialized session snapshots into it on eviction, flushes live
 //! sessions on `checkpoint`, and a manager opened over a non-empty store
-//! adopts whatever the store already holds — that is how a whole manager
-//! survives a process restart (see `PROTOCOL.md` § Durability and
+//! adopts the session keys the store already holds, reading each record
+//! on its session's first touch — that is how a whole manager survives a
+//! process restart (see `PROTOCOL.md` § Durability and
 //! `tests/persistence.rs`).
 //!
 //! Two implementations ship:
 //!
 //! - [`SegmentStore`] — the log-structured store: an append-only segment
 //!   log with length+checksum framing, **group commit** (batched fsync),
-//!   a manifest of live segments, and compaction of mostly-dead segments.
-//!   Opening a directory of `<key>.json` record files (the layout of the
-//!   one-file-per-record store earlier releases shipped) imports them in
-//!   place;
+//!   a manifest of live segments, and compaction of mostly-dead segments;
 //! - [`MemoryStore`] — an in-process map, for tests and for deployments
 //!   that want checkpoint semantics without a filesystem.
 //!
@@ -187,10 +185,9 @@ pub trait SnapshotStore: fmt::Debug + Send + Sync {
 /// [`SegmentStore`]'s recovery scan rejects a longer one as corrupt.
 const MAX_KEY: usize = 4096;
 
-/// Store keys name `<key>.json` files in the directory layout a
-/// [`SegmentStore`] imports, so restrict them to a safe alphabet (no
-/// separators, no leading dot — rules out path traversal and hidden files
-/// by construction) and to [`MAX_KEY`] bytes.
+/// Store keys are short ids, so restrict them to a safe alphabet (no
+/// separators, no leading dot — a key can never name a path or a hidden
+/// file) and to [`MAX_KEY`] bytes.
 fn check_key(key: &str) -> Result<(), StoreError> {
     if key.len() > MAX_KEY {
         return Err(StoreError::io(format!(

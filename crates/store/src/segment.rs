@@ -34,19 +34,17 @@
 //! # Compaction
 //!
 //! Overwrites and deletes leave dead frames behind. Sealed segments
-//! whose live-record ratio falls below the configured threshold are
+//! whose live-record ratio falls below the compaction threshold are
 //! rewritten: live records are re-appended to the active segment,
 //! committed, and only then is the manifest swapped without the victim
 //! and its file deleted — so a crash at any point leaves either the old
 //! manifest (duplicate records, newest wins on replay) or the new one
 //! (orphan file, swept on open).
 //!
-//! # Import
+//! # Sharing
 //!
-//! Opening a directory in the one-file-per-record layout earlier releases
-//! wrote (`<key>.json` files, no manifest) imports every record into the
-//! log, commits, writes the manifest and removes the imported files —
-//! deployments upgrade in place. The layout stays shard-count-stable
+//! A directory without a manifest opens as an empty log; files the store
+//! did not write are left alone. The layout stays shard-count-stable
 //! because keys, not shards, are the unit of storage; concurrent shard
 //! workers share one log through cloned [`SegmentHandle`]s. A segment
 //! directory has a **single writing process**.
@@ -71,6 +69,13 @@ const MAX_RECORD: usize = 16 * 1024 * 1024;
 /// A commit frame is tag + sequence + crc.
 const COMMIT_FRAME: usize = 1 + 8 + 4;
 const MANIFEST: &str = "manifest.json";
+/// Seal the active segment and start a new one beyond this size.
+const MAX_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
+/// Compact a sealed segment when live records fall to this percentage
+/// of its total records or below.
+const COMPACT_LIVE_PERCENT: u64 = 50;
+/// Never compact segments with fewer records than this.
+const COMPACT_MIN_RECORDS: u64 = 16;
 
 /// The reflected IEEE 802.3 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
@@ -128,13 +133,6 @@ pub struct SegmentConfig {
     /// Commit when the oldest pending operation is this old (checked on
     /// each write — the store has no background thread).
     pub commit_interval: Duration,
-    /// Seal the active segment and start a new one beyond this size.
-    pub max_segment_bytes: u64,
-    /// Compact a sealed segment when live records fall to this
-    /// percentage of its total records or below.
-    pub compact_live_percent: u32,
-    /// Never compact segments with fewer records than this.
-    pub compact_min_records: u64,
 }
 
 impl Default for SegmentConfig {
@@ -143,9 +141,6 @@ impl Default for SegmentConfig {
             commit_ops: 8,
             commit_bytes: 256 * 1024,
             commit_interval: Duration::from_millis(25),
-            max_segment_bytes: 4 * 1024 * 1024,
-            compact_live_percent: 50,
-            compact_min_records: 16,
         }
     }
 }
@@ -407,33 +402,6 @@ fn write_manifest(dir: &Path, ids: &[u64]) -> Result<(), StoreError> {
     fs::rename(&tmp, &path).map_err(|e| fail("swap", e))
 }
 
-/// Reads (and validates) every `<key>.json` record of a directory in the
-/// one-file-per-record layout, sorted by key.
-fn legacy_records(dir: &Path) -> Result<Vec<(String, String)>, StoreError> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| StoreError::io(format!("list '{}': {e}", dir.display())))?;
-    let mut out = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| StoreError::io(format!("list '{}': {e}", dir.display())))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(key) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if check_key(key).is_err() {
-            continue;
-        }
-        let raw = fs::read_to_string(entry.path())
-            .map_err(|e| StoreError::io(format!("read '{name}': {e}")))?;
-        let value = parse_json(&raw).map_err(|e| {
-            StoreError::corrupt(key, format!("invalid record json during migration: {e}"))
-        })?;
-        out.push((key.to_string(), value.to_json()));
-    }
-    out.sort();
-    Ok(out)
-}
-
 /// The log-structured [`SnapshotStore`]: see the module-level source
 /// docs (`segment.rs`) and `ARCHITECTURE.md` for the layout,
 /// group-commit and compaction contracts.
@@ -459,8 +427,8 @@ pub struct SegmentStore {
 }
 
 impl SegmentStore {
-    /// Opens (creating or migrating if necessary) the store rooted at
-    /// `dir` with default tuning.
+    /// Opens (creating if necessary) the store rooted at `dir` with
+    /// default tuning.
     ///
     /// # Errors
     ///
@@ -489,11 +457,10 @@ impl SegmentStore {
         }
     }
 
-    /// Fresh directory (or one-file-per-record layout): import, commit,
-    /// then publish the manifest — a crash before the manifest lands
-    /// leaves the record files untouched and the import restarts.
+    /// Directory without a manifest: start an empty log, then publish
+    /// the manifest — a crash before the manifest lands leaves a
+    /// directory that opens as empty again.
     fn create(cfg: SegmentConfig, dir: PathBuf) -> Result<SegmentStore, StoreError> {
-        let legacy = legacy_records(&dir)?;
         let path = seg_path(&dir, 1);
         let writer = OpenOptions::new()
             .write(true)
@@ -515,19 +482,12 @@ impl SegmentStore {
             last_commit: Instant::now(),
             io: StoreIoStats::default(),
         };
-        for (key, raw) in &legacy {
-            store.append_put(key, raw)?;
-        }
-        store.commit()?;
         store
             .writer
             .sync_data()
             .map_err(|e| StoreError::io(format!("sync seg-1: {e}")))?;
         store.io.fsyncs += 1;
         write_manifest(&store.dir, &[1])?;
-        for (key, _) in &legacy {
-            fs::remove_file(store.dir.join(format!("{key}.json"))).ok();
-        }
         Ok(store)
     }
 
@@ -600,8 +560,7 @@ impl SegmentStore {
             .and_then(|()| writer.seek(SeekFrom::Start(committed_len)))
             .map_err(|e| StoreError::io(format!("truncate '{}': {e}", path.display())))?;
         // Sweep debris: segments dropped from the manifest by an
-        // interrupted compaction, manifest temp files, and record files
-        // left behind by an interrupted (already-committed) migration.
+        // interrupted compaction, and manifest temp files.
         if let Ok(entries) = fs::read_dir(&dir) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
@@ -612,11 +571,7 @@ impl SegmentStore {
                     .and_then(|id| id.parse::<u64>().ok())
                     .is_some_and(|id| !ids.contains(&id));
                 let stale_tmp = name.starts_with("manifest.json.tmp");
-                let leftover_record = name != MANIFEST
-                    && name
-                        .strip_suffix(".json")
-                        .is_some_and(|key| check_key(key).is_ok());
-                if orphan_seg || stale_tmp || leftover_record {
+                if orphan_seg || stale_tmp {
                     fs::remove_file(entry.path()).ok();
                 }
             }
@@ -635,11 +590,6 @@ impl SegmentStore {
             last_commit: Instant::now(),
             io: StoreIoStats::default(),
         })
-    }
-
-    /// The directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The ids of the segments currently in the manifest (ascending; the
@@ -732,7 +682,7 @@ impl SegmentStore {
     /// Rolls an oversized active segment and compacts at most one
     /// mostly-dead sealed segment. Only valid with nothing pending.
     fn maintain(&mut self) -> Result<(), StoreError> {
-        if self.active_len >= self.cfg.max_segment_bytes {
+        if self.active_len >= MAX_SEGMENT_BYTES {
             self.roll()?;
         }
         self.compact_one()
@@ -773,8 +723,8 @@ impl SegmentStore {
             .iter()
             .filter(|&(&id, _)| id != self.active)
             .find(|&(_, info)| {
-                info.records >= self.cfg.compact_min_records
-                    && info.live * 100 <= u64::from(self.cfg.compact_live_percent) * info.records
+                info.records >= COMPACT_MIN_RECORDS
+                    && info.live * 100 <= COMPACT_LIVE_PERCENT * info.records
             })
             .map(|(&id, _)| id);
         let Some(victim) = victim else {
@@ -952,7 +902,6 @@ mod tests {
             commit_ops: usize::MAX,
             commit_bytes: u64::MAX,
             commit_interval: Duration::from_secs(3600),
-            ..SegmentConfig::default()
         }
     }
 
@@ -1063,62 +1012,54 @@ mod tests {
         let dir = TempDir::new("compact");
         let cfg = SegmentConfig {
             commit_ops: 1,
-            max_segment_bytes: 512,
-            compact_min_records: 2,
-            compact_live_percent: 50,
             ..SegmentConfig::default()
         };
         let mut store = SegmentStore::with_config(cfg, dir.path()).unwrap();
-        // Overwrite two keys many times: every sealed segment ends up
-        // mostly dead and gets compacted away.
-        for round in 0..64 {
-            store.put("s-1", &record(round)).unwrap();
-            store.put("s-2", &record(-round)).unwrap();
+        // Overwrite two keys with 128 KiB values until three segments
+        // have rolled: every sealed segment ends up mostly dead and gets
+        // compacted away.
+        let value = |round: i64| {
+            Value::object([
+                ("n".to_string(), Value::Int(round)),
+                ("pad".to_string(), Value::str("x".repeat(128 * 1024))),
+            ])
+        };
+        let mut round = 0;
+        while store.segment_ids().last() < Some(&4) {
+            round += 1;
+            store.put("s-1", &value(round)).unwrap();
+            store.put("s-2", &value(-round)).unwrap();
         }
         store.flush().unwrap();
         assert!(
-            store.segment_ids().len() <= 3,
+            store.io_stats().compactions >= 3,
+            "every sealed segment was compacted, stats {:?}",
+            store.io_stats()
+        );
+        assert!(
+            store.segment_ids().len() <= 2,
             "dead segments reclaimed, manifest holds {:?}",
             store.segment_ids()
         );
         drop(store);
         let store = SegmentStore::open(dir.path()).unwrap();
-        assert_eq!(store.get("s-1").unwrap(), Some(record(63)));
-        assert_eq!(store.get("s-2").unwrap(), Some(record(-63)));
+        assert_eq!(store.get("s-1").unwrap(), Some(value(round)));
+        assert_eq!(store.get("s-2").unwrap(), Some(value(-round)));
         assert_eq!(store.keys().unwrap(), vec!["s-1", "s-2"]);
     }
 
     #[test]
-    fn record_file_layout_migrates_in_place() {
-        let dir = TempDir::new("migrate");
-        for (key, n) in [("s-1", 1), ("s-2", 2), ("shard-1-of-1", 0)] {
-            fs::write(dir.path().join(format!("{key}.json")), record(n).to_json()).unwrap();
-        }
+    fn a_directory_without_a_manifest_opens_empty_and_keeps_its_files() {
+        let dir = TempDir::new("no-manifest");
+        fs::write(dir.path().join("s-1.json"), record(1).to_json()).unwrap();
         let store = SegmentStore::open(dir.path()).unwrap();
-        assert_eq!(store.get("s-1").unwrap(), Some(record(1)));
-        assert_eq!(store.get("s-2").unwrap(), Some(record(2)));
-        assert_eq!(store.keys().unwrap(), vec!["s-1", "s-2", "shard-1-of-1"]);
-        assert!(
-            !dir.path().join("s-1.json").exists(),
-            "legacy records removed after the committed import"
-        );
-        // The migrated log round-trips across another reopen.
+        assert_eq!(store.keys().unwrap(), Vec::<String>::new());
         drop(store);
         let store = SegmentStore::open(dir.path()).unwrap();
-        assert_eq!(store.get("shard-1-of-1").unwrap(), Some(record(0)));
-    }
-
-    #[test]
-    fn corrupt_legacy_records_fail_migration_typed() {
-        let dir = TempDir::new("migrate-bad");
-        fs::write(dir.path().join("s-1.json"), "{\"truncated\":").unwrap();
-        match SegmentStore::open(dir.path()) {
-            Err(StoreError::Corrupt { key, .. }) => assert_eq!(key, "s-1"),
-            other => panic!("expected typed corruption, got {other:?}"),
-        }
+        assert_eq!(store.keys().unwrap(), Vec::<String>::new());
         assert!(
             dir.path().join("s-1.json").exists(),
-            "failed migration leaves the legacy file untouched"
+            "neither open nor reopen removes a file the store did not write"
         );
     }
 

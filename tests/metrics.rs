@@ -184,7 +184,6 @@ fn wire_script_yields_exact_counter_and_histogram_deltas() {
         assert_row(metrics, "outputs", 1, &[]);
         assert_row(metrics, "close", 1, &[]);
         assert_row(metrics, "checkpoint", 0, &[("no_store", 1)]);
-        assert_row(metrics, "recover", 0, &[]);
         assert_row(metrics, "malformed", 0, &[("bad_request", 1)]);
         // The scrape that produced this snapshot is not yet in it: a
         // request is recorded after its response is computed.
@@ -260,4 +259,40 @@ fn legacy_stats_request_is_a_bad_request() {
     let reply = scrape(&manager);
     let metrics = reply.field("metrics").expect("metrics payload");
     assert_row(metrics, "malformed", 0, &[("bad_request", 2)]);
+}
+
+/// The `recover` request is retired: a manager adopts its store's keys
+/// when it is built, and a segment directory has one writing process, so
+/// nothing new can appear later. Its frame gets a typed `bad_request`,
+/// is counted as malformed, and the reply lists seven request kinds.
+#[test]
+fn retired_recover_request_is_a_bad_request() {
+    let manager = manager(2);
+    let reply = manager.handle_json(r#"{"v":1,"kind":"recover"}"#);
+    assert_eq!(
+        reply,
+        r#"{"v":1,"status":"error","error":{"code":"bad_request","message":"bad_request: unknown request kind 'recover'"}}"#,
+    );
+    let reply = scrape(&manager);
+    let metrics = reply.field("metrics").expect("metrics payload");
+    assert_row(metrics, "malformed", 0, &[("bad_request", 1)]);
+    let Some(Value::Array(rows)) = metrics.field("requests") else {
+        panic!("metrics reply has no requests array");
+    };
+    let kinds: Vec<&str> = rows
+        .iter()
+        .filter_map(|row| row.field("kind").and_then(Value::as_str))
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "create",
+            "event",
+            "outputs",
+            "metrics",
+            "close",
+            "checkpoint",
+            "malformed"
+        ]
+    );
 }

@@ -89,35 +89,6 @@ fn records_of(dir: &Path) -> BTreeMap<String, String> {
         .collect()
 }
 
-/// Writes `records` into `dir` as one `<key>.json` file each — the
-/// layout earlier releases' default store wrote, which a segment store
-/// imports on open.
-fn write_record_files(dir: &Path, records: &BTreeMap<String, String>) {
-    for (key, raw) in records {
-        fs::write(dir.join(format!("{key}.json")), raw).unwrap();
-    }
-}
-
-/// How the subject's store comes back after its "kill".
-#[derive(Clone, Copy, Debug)]
-enum Reopen {
-    /// The segment log is reopened where it lies.
-    Log,
-    /// The store is first rewritten as `<key>.json` record files, so the
-    /// reopen goes through the segment store's import.
-    Import,
-}
-
-fn reopen_sharded(how: Reopen, cfg: &ServiceConfig, shards: usize, dir: &Path) -> ShardedManager {
-    if let Reopen::Import = how {
-        let records = records_of(dir);
-        fs::remove_dir_all(dir).unwrap();
-        fs::create_dir_all(dir).unwrap();
-        write_record_files(dir, &records);
-    }
-    open_sharded(cfg, shards, dir)
-}
-
 fn register_sites(m: &ShardedManager, sites: &[Arc<webrobot::Site>]) {
     for (i, site) in sites.iter().enumerate() {
         m.register_site(format!("site{i}"), site.clone(), Value::Object(vec![]));
@@ -285,11 +256,12 @@ fn phase2(reference: &ShardedManager, subject: &ShardedManager, ids: &[String]) 
 /// The acceptance differential: kill/reopen mid-workflow at shard counts
 /// 1, 2 and 4 — every wire response byte-identical to a deployment that
 /// never restarted, including the final stats.
-fn byte_identity_differential(how: Reopen) {
+#[test]
+fn segment_backed_managers_are_byte_identical_at_shard_counts_1_2_4() {
     for shards in [1usize, 2, 4] {
         let sites: Vec<_> = [5, 6, 7].into_iter().map(anchor_site).collect();
-        let dir_ref = TempDir::new(&format!("ref-{how:?}-{shards}"));
-        let dir_sub = TempDir::new(&format!("sub-{how:?}-{shards}"));
+        let dir_ref = TempDir::new(&format!("ref-{shards}"));
+        let dir_sub = TempDir::new(&format!("sub-{shards}"));
         let cfg = ServiceConfig::default();
 
         let reference = open_sharded(&cfg, shards, dir_ref.path());
@@ -302,24 +274,11 @@ fn byte_identity_differential(how: Reopen) {
         // "Kill" the subject process: dropping flushes every shard's
         // manager to its store. Then reopen from the same directory.
         drop(subject);
-        let subject = reopen_sharded(how, &cfg, shards, dir_sub.path());
+        let subject = open_sharded(&cfg, shards, dir_sub.path());
         register_sites(&subject, &sites);
 
         phase2(&reference, &subject, &ids);
     }
-}
-
-/// The restart goes through the `<key>.json` import: a deployment whose
-/// store was written in the one-file-per-record layout (as by an earlier
-/// release's default store) reopens byte-identically.
-#[test]
-fn reopened_managers_are_byte_identical_at_shard_counts_1_2_4() {
-    byte_identity_differential(Reopen::Import);
-}
-
-#[test]
-fn segment_backed_managers_are_byte_identical_at_shard_counts_1_2_4() {
-    byte_identity_differential(Reopen::Log);
 }
 
 /// A hard kill right after an explicit `checkpoint` (no drop-flush: the
@@ -443,10 +402,11 @@ fn segment_recovery_lands_at_the_last_commit_after_a_hard_kill_mid_group_commit(
 /// by design: the reference pays eviction/restore cycles for sessions the
 /// subject rehydrates from the store once — PROTOCOL.md documents the
 /// gauge caveat.)
-fn eviction_thrash_differential(how: Reopen) {
+#[test]
+fn segment_restart_under_eviction_thrash_is_unobservable_on_session_responses() {
     let sites: Vec<_> = [5, 6, 7].into_iter().map(anchor_site).collect();
-    let dir_ref = TempDir::new(&format!("thrash-{how:?}-ref"));
-    let dir_sub = TempDir::new(&format!("thrash-{how:?}-sub"));
+    let dir_ref = TempDir::new("thrash-ref");
+    let dir_sub = TempDir::new("thrash-sub");
     let cfg = ServiceConfig::builder()
         .max_live_sessions(1)
         .build()
@@ -459,7 +419,7 @@ fn eviction_thrash_differential(how: Reopen) {
 
     let ids = phase1(&reference, &subject, sites.len());
     drop(subject);
-    let subject = reopen_sharded(how, &cfg, 1, dir_sub.path());
+    let subject = open_sharded(&cfg, 1, dir_sub.path());
     register_sites(&subject, &sites);
 
     // Mode-driven completion, interleaved so every turn thrashes the one
@@ -498,17 +458,6 @@ fn eviction_thrash_differential(how: Reopen) {
             .to_json(),
         );
     }
-}
-
-/// The restart goes through the `<key>.json` import.
-#[test]
-fn restart_under_eviction_thrash_is_unobservable_on_session_responses() {
-    eviction_thrash_differential(Reopen::Import);
-}
-
-#[test]
-fn segment_restart_under_eviction_thrash_is_unobservable_on_session_responses() {
-    eviction_thrash_differential(Reopen::Log);
 }
 
 /// The store layout is shard-count-stable: a directory written by a
@@ -609,17 +558,31 @@ fn reopen_single(records: &BTreeMap<String, String>) -> Result<SessionManager, S
     SessionManager::with_store(ServiceConfig::default(), Box::new(store))
 }
 
-/// A truncated session record (invalid JSON) fails the reopen fast with a
-/// typed `snapshot_corrupt` error — no panic, no half-adopted manager.
+/// A truncated session record (invalid JSON) does not fail the reopen:
+/// its session answers a typed `snapshot_corrupt` on first touch, and
+/// again on the next, while another tenant's session and new sessions
+/// keep working.
 #[test]
-fn truncated_session_records_fail_reopen_with_a_typed_error() {
-    let (mut records, _site) = flushed_records("truncated");
+fn truncated_session_records_surface_as_wire_errors_on_touch() {
+    let (mut records, site) = flushed_records("truncated");
     let full = records["s-1"].clone();
+    records.insert(
+        "s-2".to_string(),
+        full.replace("\"session\":\"s-1\"", "\"session\":\"s-2\""),
+    );
     records.insert("s-1".to_string(), full[..full.len() / 2].to_string());
-    match reopen_single(&records) {
-        Err(StoreError::Corrupt { key, .. }) => assert_eq!(key, "s-1"),
-        other => panic!("expected a corrupt-record error, got {other:?}"),
+
+    let mut m = reopen_single(&records).unwrap();
+    m.register_site("site0", site, Value::Object(vec![]));
+    for _ in 0..2 {
+        let reply = m.handle_json(&event_req("s-1", r#"{"type": "accept", "index": 0}"#));
+        assert!(reply.contains(r#""code":"snapshot_corrupt""#), "{reply}");
+        assert!(reply.contains("s-1"), "{reply}");
     }
+    let reply = m.handle_json(&event_req("s-2", r#"{"type": "accept", "index": 0}"#));
+    assert!(reply.contains(r#""outcome":"recorded""#), "{reply}");
+    let reply = m.handle_json(&create_req(0));
+    assert!(reply.contains(r#""session":"s-3""#), "{reply}");
 }
 
 /// A record that *parses* as JSON but decodes to garbage surfaces as a
@@ -866,58 +829,24 @@ fn stale_manifests_fail_reopen_with_a_typed_error() {
     }
 }
 
-/// Opening a directory of `<key>.json` record files — the layout earlier
-/// releases' default store wrote — as a [`SegmentStore`] migrates it in
-/// place: records import into the log, the loose `.json` files go away,
-/// and the session continues mid-workflow.
-#[test]
-fn filestore_layouts_migrate_into_the_segment_log_in_place() {
-    let (records, site) = flushed_records("segment-migrate-source");
-    let dir = TempDir::new("segment-migrate");
-    write_record_files(dir.path(), &records);
-    let store = Box::new(SegmentStore::open(dir.path()).unwrap());
-    assert!(dir.path().join("manifest.json").exists());
-    assert!(
-        !dir.path().join("s-1.json").exists(),
-        "imported record files are removed"
-    );
-
-    let mut m = SessionManager::with_store(ServiceConfig::default(), store).unwrap();
-    m.register_site("site0", site, Value::Object(vec![]));
-    let reply = m.handle_json(&event_req("s-1", r#"{"type": "accept", "index": 0}"#));
-    assert!(reply.contains(r#""outcome":"recorded""#), "{reply}");
-    let outputs = m.handle_json(
-        &Request::Outputs {
-            session: "s-1".to_string(),
-        }
-        .to_json(),
-    );
-    let outputs = parse_json(&outputs).unwrap();
-    assert_eq!(
-        outputs
-            .field("outputs")
-            .and_then(Value::as_array)
-            .map(<[Value]>::len),
-        Some(3)
-    );
-}
-
 // ───────────────────── checkpoint cost shape ─────────────────────
 
-/// A [`MemoryStore`] that counts `put` calls — observes exactly how many
-/// records a checkpoint or an eviction writes. Clones of `inner` share one
-/// store, so a second manager can reopen what the first one wrote.
-#[derive(Debug)]
+/// A [`MemoryStore`] that counts `put` and `get` calls — observes
+/// exactly how many records a checkpoint or an eviction writes and a
+/// reopen or a restore reads. Clones share one store and its counters,
+/// so a second manager can reopen what the first one wrote.
+#[derive(Debug, Clone, Default)]
 struct CountingStore {
     inner: Arc<Mutex<MemoryStore>>,
     puts: Arc<AtomicUsize>,
+    gets: Arc<AtomicUsize>,
 }
 
 impl CountingStore {
     fn new(puts: &Arc<AtomicUsize>) -> CountingStore {
         CountingStore {
-            inner: Arc::default(),
             puts: puts.clone(),
+            ..CountingStore::default()
         }
     }
 
@@ -933,6 +862,7 @@ impl SnapshotStore for CountingStore {
     }
 
     fn get(&self, key: &str) -> Result<Option<Value>, StoreError> {
+        self.gets.fetch_add(1, Ordering::SeqCst);
         self.inner().get(key)
     }
 
@@ -1021,11 +951,54 @@ fn evicting_a_clean_session_writes_nothing() {
     std::mem::forget(m);
     let store = CountingStore {
         inner: shared,
-        puts: puts.clone(),
+        ..CountingStore::new(&puts)
     };
     let mut reopened = SessionManager::with_store(cfg, Box::new(store)).unwrap();
     reopened.register_site("site0", anchor_site(6), Value::Object(vec![]));
     assert_eq!(reopened.outputs(id).unwrap(), outputs);
+}
+
+/// A reopen adopts session keys and reads no session record: building
+/// the manager reads only its metadata record, a session's first touch
+/// reads its record once, and neither a second touch nor an eviction
+/// and restore (the snapshot stays in memory) reads it again.
+#[test]
+fn a_reopen_reads_no_session_record_until_first_touch() {
+    let store = CountingStore::default();
+    let site = anchor_site(6);
+    let mut m =
+        SessionManager::with_store(ServiceConfig::default(), Box::new(store.clone())).unwrap();
+    m.register_site("site0", site.clone(), Value::Object(vec![]));
+    for s in 1..=3 {
+        let reply = m.handle_json(&create_req(0));
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+        let reply = m.handle_json(&event_req(&format!("s-{s}"), &scrape_ev(s)));
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    }
+    m.checkpoint().unwrap();
+    drop(m);
+
+    let gets = || store.gets.swap(0, Ordering::SeqCst);
+    gets();
+    let mut m =
+        SessionManager::with_store(ServiceConfig::default(), Box::new(store.clone())).unwrap();
+    m.register_site("site0", site, Value::Object(vec![]));
+    assert_eq!(m.session_count(), 3);
+    assert_eq!(gets(), 1, "a reopen reads only its metadata record");
+
+    let id: SessionId = "s-2".parse().unwrap();
+    let outputs = m.outputs(id).unwrap();
+    assert_eq!(outputs.len(), 1);
+    assert_eq!(gets(), 1, "the first touch reads the session's record");
+    assert_eq!(m.outputs(id).unwrap(), outputs);
+    assert_eq!(gets(), 0, "a live session reads nothing");
+    assert!(m.evict(id));
+    assert_eq!(m.outputs(id).unwrap(), outputs);
+    assert_eq!(
+        gets(),
+        0,
+        "a restore from the evicted snapshot reads nothing"
+    );
 }
 
 // ───────────────────── segment-log fuzz properties ─────────────────────
