@@ -37,7 +37,9 @@ use webrobot_dom::parse_html;
 use webrobot_interact::{Event, Mode, StepOutcome};
 use webrobot_lang::{Action, Value};
 use webrobot_semantics::action_consistent;
-use webrobot_service::{Request, ServiceConfig, SessionId, SessionManager, ShardedManager};
+use webrobot_service::{
+    Request, Response, ServiceConfig, SessionId, SessionManager, ShardedManager,
+};
 
 const ITEMS_PER_SITE: usize = 6;
 
@@ -294,11 +296,23 @@ fn churn_session(id: u32) -> (SessionManager, SessionId) {
             _ => Event::Demonstrate(trace.actions()[pos].clone()),
         };
         let advances = matches!(event, Event::Demonstrate(_) | Event::Accept { .. });
-        let reply = m.dispatch(session, event).expect("oracle events are valid");
-        if advances || matches!(reply.outcome, StepOutcome::Automated(_)) {
+        let request = Request::Event {
+            session: session.to_string(),
+            event,
+        };
+        let Response::Event {
+            outcome,
+            mode: next_mode,
+            predictions: offered,
+            ..
+        } = m.handle(request)
+        else {
+            panic!("oracle events are valid");
+        };
+        if advances || matches!(outcome, StepOutcome::Automated(_)) {
             pos += 1;
         }
-        (mode, predictions) = (reply.mode, reply.predictions);
+        (mode, predictions) = (next_mode, offered);
     }
     panic!("the oracle did not reach b{id}'s stop point");
 }

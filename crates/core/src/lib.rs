@@ -106,8 +106,8 @@ pub use webrobot_synth::{EngineDigest, RankedProgram, SynthConfig, SynthResult, 
 /// generalizing programs and predictions.
 ///
 /// This is a thin, ergonomic wrapper over [`Synthesizer`]; use the latter
-/// directly for fine-grained control (custom deadlines, worklist
-/// inspection).
+/// directly for fine-grained control (sliced search with
+/// `synthesize_quantum`, worklist inspection).
 #[derive(Debug)]
 pub struct WebRobot {
     synth: Synthesizer,

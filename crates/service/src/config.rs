@@ -34,7 +34,8 @@ pub struct ServiceConfig {
     /// worklist degrades only its own session's latency, not the whole
     /// shard's. Quantum-sliced synthesis is exactly equal to unsliced
     /// synthesis (pinned by the 76-benchmark differential), so this knob
-    /// is invisible on the wire — it only redistributes latency.
+    /// is invisible on the wire — it only redistributes latency. A
+    /// quantum of `Duration::MAX` never parks.
     pub quantum: Duration,
     /// Bound on in-flight jobs per shard (queued in the channel, waiting
     /// in a run queue, or being processed). Jobs beyond the bound are

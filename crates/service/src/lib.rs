@@ -83,7 +83,7 @@ mod stats;
 mod store;
 
 pub use config::{ConfigError, ServiceConfig, ServiceConfigBuilder};
-pub use manager::{EventReply, ServiceError, SessionId, SessionManager};
+pub use manager::{ServiceError, SessionId, SessionManager};
 pub use persist::{
     decode_meta, decode_session, encode_meta, encode_session, ManagerMeta, SessionRecord,
     STORE_VERSION,

@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 use webrobot_browser::{Output, Site};
 use webrobot_data::Value;
 use webrobot_interact::{Event, Mode, Session, SessionError, SessionSnapshot, StepOutcome};
-use webrobot_lang::Action;
 use webrobot_metrics::{Metrics, RequestKind};
 
 use crate::config::ServiceConfig;
@@ -149,20 +148,6 @@ impl From<StoreError> for ServiceError {
     fn from(e: StoreError) -> ServiceError {
         ServiceError::Store(e)
     }
-}
-
-/// What one dispatched event did, plus the session state a front-end
-/// needs to render its next screen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventReply {
-    /// What the step did.
-    pub outcome: StepOutcome,
-    /// The session's mode after the event.
-    pub mode: Mode,
-    /// Current predictions, best first.
-    pub predictions: Vec<Action>,
-    /// How many outputs the session has scraped so far.
-    pub outputs: usize,
 }
 
 /// A site a front-end can open sessions on, with its default data source.
@@ -369,7 +354,8 @@ impl SessionManager {
     /// (id 0, or past the id space). Session records are not read here:
     /// one that is missing, does not parse or decodes to an impossible
     /// session surfaces on first touch, as a typed per-session wire
-    /// error, and every other session keeps working.
+    /// error, and every other session keeps working. A failed reopen
+    /// writes nothing to the store, so it fails the same way again.
     pub fn with_store(
         cfg: ServiceConfig,
         store: Box<dyn SnapshotStore>,
@@ -387,16 +373,19 @@ impl SessionManager {
         stride: u64,
     ) -> Result<SessionManager, StoreError> {
         let mut manager = SessionManager::new(cfg).with_id_sequence(first, stride);
-        manager.store = Some(store);
-        if let Some(raw) = manager.store.as_ref().unwrap().get(&manager.meta_key())? {
+        // The store is attached only once the metadata record and every
+        // session key pass their checks: a manager holding a store
+        // checkpoints on drop, and a failed reopen must write nothing.
+        let meta_key = manager.meta_key();
+        if let Some(raw) = store.get(&meta_key)? {
             let meta = persist::decode_meta(&raw)
-                .map_err(|detail| StoreError::corrupt(manager.meta_key(), detail))?;
+                .map_err(|detail| StoreError::corrupt(&*meta_key, detail))?;
             // A next_id outside this manager's residue class would make
             // two shards issue colliding (and mis-routing) ids: reject a
             // tampered cursor instead of adopting it.
             if meta.next_id % manager.id_stride != first % manager.id_stride {
                 return Err(StoreError::corrupt(
-                    manager.meta_key(),
+                    meta_key,
                     format!(
                         "next_id {} is not in the id sequence {first}, {}, …",
                         meta.next_id,
@@ -409,7 +398,7 @@ impl SessionManager {
             // round-trip, locking the store out on the reopen after.
             if meta.next_id > MAX_SESSION_ID {
                 return Err(StoreError::corrupt(
-                    manager.meta_key(),
+                    meta_key,
                     format!("next_id {} exceeds the id space", meta.next_id),
                 ));
             }
@@ -417,7 +406,8 @@ impl SessionManager {
             manager.clock = meta.clock;
             manager.stats = meta.stats;
         }
-        manager.adopt_session_keys()?;
+        manager.adopt_session_keys(store.as_ref())?;
+        manager.store = Some(store);
         Ok(manager)
     }
 
@@ -508,52 +498,15 @@ impl SessionManager {
         Ok(id)
     }
 
-    /// Dispatches one event to a session, transparently restoring it from
-    /// its snapshot if it was evicted.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] for an untracked id; otherwise
-    /// whatever the session's own state machine rejects (wrapped
-    /// [`SessionError`]).
-    pub fn dispatch(&mut self, id: SessionId, event: Event) -> Result<EventReply, ServiceError> {
-        self.ensure_live(id)?;
-        // Enforce the live cap up front so a restore that displaced the
-        // cap holds even when the event itself is rejected below.
-        self.enforce_live_capacity(Some(id.0));
-        let Some(tracked) = self.sessions.get_mut(&id.0) else {
-            return Err(ServiceError::UnknownSession(id.to_string()));
-        };
-        let Slot::Live { session, .. } = &mut tracked.slot else {
-            return Err(ServiceError::UnknownSession(id.to_string()));
-        };
-        let result = session.handle(event);
-        let reply = match result {
-            Ok(outcome) => EventReply {
-                outcome,
-                mode: session.mode(),
-                predictions: session.predictions().to_vec(),
-                outputs: session.browser().outputs().len(),
-            },
-            Err(e) => {
-                self.stats.events.rejected += 1;
-                return Err(ServiceError::Session(e));
-            }
-        };
-        // The session advanced: its store record (if any) is now stale.
-        tracked.dirty = true;
-        self.stats.events.ok += 1;
-        Ok(reply)
-    }
-
-    /// Dispatches one `event` request like the `Event` arm of
-    /// [`SessionManager::handle`], but bounds the synthesis work to
+    /// Dispatches one `event` request to a session, transparently
+    /// restoring it if it is cold, and bounds the synthesis work to
     /// `budget`. Returns the finished wire response, or `None` when the
     /// session performed the action and parked mid-synthesis — drive it
     /// to completion with [`SessionManager::continue_event_quantum`]
     /// before its next event (the sharded scheduler round-robins these
-    /// continuations). Errors always complete immediately, as typed
-    /// error responses.
+    /// continuations). A budget of `Duration::MAX` never parks: that is
+    /// the `Event` arm of [`SessionManager::handle`]. Errors always
+    /// complete immediately, as typed error responses.
     pub fn handle_event_quantum(
         &mut self,
         session: &str,
@@ -623,18 +576,8 @@ impl SessionManager {
         Some(self.event_response(id, outcome))
     }
 
-    /// `true` while `id` is live with a half-finished quantum step; such
-    /// a session cannot be evicted or snapshotted until the step
-    /// completes.
-    pub fn has_pending_step(&self, id: SessionId) -> bool {
-        matches!(
-            self.sessions.get(&id.0).map(|t| &t.slot),
-            Some(Slot::Live { session, .. }) if session.has_pending()
-        )
-    }
-
     /// The wire `event` response for a completed step on session `id`
-    /// (shared by the unsliced and the quantum dispatch paths).
+    /// (shared by a step's first quantum and its continuations).
     fn event_response(&self, id: SessionId, outcome: StepOutcome) -> Response {
         match self.sessions.get(&id.0) {
             Some(Tracked {
@@ -825,6 +768,7 @@ impl SessionManager {
     /// written stay written — the operation is idempotent, re-run it).
     pub fn checkpoint(&mut self) -> Result<usize, ServiceError> {
         let started = Instant::now();
+        let meta_key = self.meta_key();
         let Some(store) = self.store.as_mut() else {
             return Err(ServiceError::NoStore);
         };
@@ -861,7 +805,6 @@ impl SessionManager {
             clock: self.clock,
             stats: self.stats,
         });
-        let meta_key = format!("shard-{}-of-{}", self.id_first, self.id_stride);
         store.put(&meta_key, &meta)?;
         // Retry removals whose best-effort delete on `close` failed:
         // exactly the records this manager owes a deletion — never
@@ -906,19 +849,17 @@ impl SessionManager {
                 },
                 Err(e) => error_response(&e),
             },
-            Request::Event { session, event } => match self.parse_id(&session) {
-                Ok(id) => match self.dispatch(id, event) {
-                    Ok(reply) => Response::Event {
-                        session,
-                        outcome: reply.outcome,
-                        mode: reply.mode,
-                        predictions: reply.predictions,
-                        outputs: reply.outputs,
-                    },
-                    Err(e) => error_response(&e),
-                },
-                Err(e) => error_response(&e),
-            },
+            Request::Event { session, event } => {
+                // An unbounded budget never parks; should a step park
+                // anyway, finish it here rather than answer early.
+                let mut step = self.handle_event_quantum(&session, event, Duration::MAX);
+                loop {
+                    match step {
+                        Some(response) => break response,
+                        None => step = self.continue_event_quantum(&session, Duration::MAX),
+                    }
+                }
+            }
             Request::Outputs { session } => {
                 match self.parse_id(&session).and_then(|id| self.outputs(id)) {
                     Ok(outputs) => Response::Outputs { session, outputs },
@@ -1090,15 +1031,12 @@ impl SessionManager {
         format!("shard-{}-of-{}", self.id_first, self.id_stride)
     }
 
-    /// Adopts every session key in this manager's residue class as a
-    /// `Stored` slot; no record is read until its session is touched.
-    /// Bumps `next_id` past adopted ids so a store written without a
-    /// metadata record (crash before the first checkpoint) can never
-    /// hand out a colliding id.
-    fn adopt_session_keys(&mut self) -> Result<(), StoreError> {
-        let Some(store) = self.store.as_ref() else {
-            return Ok(());
-        };
+    /// Adopts every session key `store` holds in this manager's residue
+    /// class as a `Stored` slot; no record is read until its session is
+    /// touched. Bumps `next_id` past adopted ids so a store written
+    /// without a metadata record (crash before the first checkpoint) can
+    /// never hand out a colliding id.
+    fn adopt_session_keys(&mut self, store: &dyn SnapshotStore) -> Result<(), StoreError> {
         for key in store.keys()? {
             let Ok(id) = key.parse::<SessionId>() else {
                 continue; // metadata records, foreign keys
@@ -1182,6 +1120,7 @@ mod tests {
     use webrobot_browser::SiteBuilder;
     use webrobot_data::parse_json;
     use webrobot_dom::parse_html;
+    use webrobot_lang::Action;
 
     fn anchor_site(n: usize) -> Arc<Site> {
         let body: String = (1..=n).map(|i| format!("<a>item {i}</a>")).collect();
@@ -1203,6 +1142,33 @@ mod tests {
         Event::Demonstrate(Action::ScrapeText(format!("/a[{i}]").parse().unwrap()))
     }
 
+    /// An event reply's outcome, mode, predictions and output count.
+    type Reply = (StepOutcome, Mode, Vec<Action>, usize);
+
+    /// Sends one `event` request through [`SessionManager::handle`]:
+    /// `Ok` with the event reply's fields, `Err` with the error reply.
+    fn send(m: &mut SessionManager, id: SessionId, event: Event) -> Result<Reply, Response> {
+        match m.handle(Request::Event {
+            session: id.to_string(),
+            event,
+        }) {
+            Response::Event {
+                outcome,
+                mode,
+                predictions,
+                outputs,
+                ..
+            } => Ok((outcome, mode, predictions, outputs)),
+            other => Err(other),
+        }
+    }
+
+    fn unknown_session(id: SessionId) -> Result<Reply, Response> {
+        Err(error_response(&ServiceError::UnknownSession(
+            id.to_string(),
+        )))
+    }
+
     #[test]
     fn session_ids_render_and_parse() {
         let id: SessionId = "s-42".parse().unwrap();
@@ -1220,31 +1186,28 @@ mod tests {
     fn full_workflow_through_the_typed_api() {
         let mut m = manager(ServiceConfig::default());
         let id = m.create("anchors", None, None).unwrap();
-        m.dispatch(id, scrape(1)).unwrap();
-        let reply = m.dispatch(id, scrape(2)).unwrap();
-        assert_eq!(reply.mode, Mode::Authorize);
-        assert!(!reply.predictions.is_empty());
-        m.dispatch(id, Event::Accept { index: 0 }).unwrap();
-        let reply = m.dispatch(id, Event::Accept { index: 0 }).unwrap();
-        assert_eq!(reply.mode, Mode::Automate);
+        send(&mut m, id, scrape(1)).unwrap();
+        let (_, mode, predictions, _) = send(&mut m, id, scrape(2)).unwrap();
+        assert_eq!(mode, Mode::Authorize);
+        assert!(!predictions.is_empty());
+        send(&mut m, id, Event::Accept { index: 0 }).unwrap();
+        let (_, mode, _, _) = send(&mut m, id, Event::Accept { index: 0 }).unwrap();
+        assert_eq!(mode, Mode::Automate);
         let mut automated = 0;
         loop {
-            let reply = m.dispatch(id, Event::AutomateStep).unwrap();
-            match reply.outcome {
+            let (outcome, mode, _, _) = send(&mut m, id, Event::AutomateStep).unwrap();
+            match outcome {
                 StepOutcome::Automated(_) => automated += 1,
                 _ => break,
             }
-            if reply.mode != Mode::Automate {
+            if mode != Mode::Automate {
                 break; // the loop ran off the last item
             }
         }
         assert_eq!(automated, 2);
         assert_eq!(m.outputs(id).unwrap().len(), 6);
         m.close(id).unwrap();
-        assert_eq!(
-            m.dispatch(id, scrape(1)),
-            Err(ServiceError::UnknownSession(id.to_string()))
-        );
+        assert_eq!(send(&mut m, id, scrape(1)), unknown_session(id));
     }
 
     #[test]
@@ -1255,8 +1218,8 @@ mod tests {
             Err(ServiceError::UnknownSite("nope".to_string()))
         );
         assert_eq!(
-            m.dispatch(SessionId(99), Event::Finish),
-            Err(ServiceError::UnknownSession("s-99".to_string()))
+            send(&mut m, SessionId(99), Event::Finish),
+            unknown_session(SessionId(99))
         );
     }
 
@@ -1284,15 +1247,15 @@ mod tests {
             ..ServiceConfig::default()
         });
         let a = m.create("anchors", None, None).unwrap();
-        m.dispatch(a, scrape(1)).unwrap();
+        send(&mut m, a, scrape(1)).unwrap();
         let b = m.create("anchors", None, None).unwrap();
         // Creating (and touching) b evicted a.
         assert!(m.is_evicted(a));
         assert!(!m.is_evicted(b));
         assert_eq!(m.live_count(), 1);
         // Touching a restores it and evicts b.
-        let reply = m.dispatch(a, scrape(2)).unwrap();
-        assert_eq!(reply.mode, Mode::Authorize, "restored session continues");
+        let (_, mode, _, _) = send(&mut m, a, scrape(2)).unwrap();
+        assert_eq!(mode, Mode::Authorize, "restored session continues");
         assert!(m.is_evicted(b));
         let stats = m.stats_v2();
         assert!(stats.residency.evictions >= 2);
@@ -1310,8 +1273,8 @@ mod tests {
         // The deadline is applied to this session only; the template is
         // untouched (observable: the default-config session still works).
         let other = m.create("anchors", None, None).unwrap();
-        m.dispatch(id, scrape(1)).unwrap();
-        m.dispatch(other, scrape(1)).unwrap();
+        send(&mut m, id, scrape(1)).unwrap();
+        send(&mut m, other, scrape(1)).unwrap();
     }
 
     #[test]
@@ -1319,10 +1282,10 @@ mod tests {
         let mut m = manager(ServiceConfig::default());
         let id = m.create("anchors", None, None).unwrap();
         assert!(matches!(
-            m.dispatch(id, Event::AutomateStep),
-            Err(ServiceError::Session(SessionError::WrongMode { .. }))
+            send(&mut m, id, Event::AutomateStep),
+            Err(Response::Error { code, .. }) if code == "wrong_mode"
         ));
-        m.dispatch(id, scrape(1)).unwrap();
+        send(&mut m, id, scrape(1)).unwrap();
         let stats = m.stats_v2();
         assert_eq!(stats.events.rejected, 1);
         assert_eq!(stats.events.ok, 1);
@@ -1371,8 +1334,8 @@ mod tests {
         let mut m = SessionManager::with_store(ServiceConfig::default(), store.boxed()).unwrap();
         m.register_site("anchors", anchor_site(6), Value::Object(vec![]));
         let id = m.create("anchors", None, None).unwrap();
-        m.dispatch(id, scrape(1)).unwrap();
-        m.dispatch(id, scrape(2)).unwrap();
+        send(&mut m, id, scrape(1)).unwrap();
+        send(&mut m, id, scrape(2)).unwrap();
         // An eviction spills the snapshot record immediately.
         assert!(m.evict(id));
         assert!(
@@ -1393,8 +1356,8 @@ mod tests {
         assert_eq!(stats.events.ok, stats_before.events.ok);
         // The adopted session continues mid-workflow, and new creates do
         // not collide with the adopted id.
-        let reply = m.dispatch(id, Event::Accept { index: 0 }).unwrap();
-        assert_eq!(reply.outputs, 3);
+        let (_, _, _, outputs) = send(&mut m, id, Event::Accept { index: 0 }).unwrap();
+        assert_eq!(outputs, 3);
         assert_eq!(m.create("anchors", None, None).unwrap(), SessionId(2));
         // Closing removes the durable record.
         m.close(id).unwrap();
@@ -1404,21 +1367,50 @@ mod tests {
         );
     }
 
+    /// Reopens `store` as the manager issuing `first, first + stride, …`,
+    /// which must fail. Returns the error once the failed reopen is seen
+    /// to have written nothing and a second reopen fails the same way.
+    fn failed_reopen(store: &SharedStore, first: u64, stride: u64) -> StoreError {
+        let reopen = || {
+            SessionManager::with_store_sequenced(
+                ServiceConfig::default(),
+                store.boxed(),
+                first,
+                stride,
+            )
+            .expect_err("the reopen must fail")
+        };
+        let puts = store.handle.io_stats().puts;
+        let err = reopen();
+        assert_eq!(
+            store.handle.io_stats().puts,
+            puts,
+            "a failed reopen wrote to the store"
+        );
+        assert_eq!(reopen(), err, "a second reopen fails the same way");
+        err
+    }
+
+    /// A fresh shared store holding only `record` under `key`.
+    fn store_holding(name: &str, key: &str, record: Value) -> SharedStore {
+        let store = SharedStore::new(name);
+        store.handle.clone().put(key, &record).unwrap();
+        store
+    }
+
     #[test]
     fn meta_next_id_outside_the_shard_residue_is_rejected() {
         // Shard 0 of 2 issues ids 1, 3, 5, …; a metadata record claiming
         // next_id 4 (shard 1's sequence) would make the two shards
         // collide, so the reopen must reject it as corrupt.
-        let mut store = crate::store::MemoryStore::new();
         let meta = persist::encode_meta(&ManagerMeta {
             next_id: 4,
             clock: 0,
             stats: StatsV2::default(),
         });
-        store.put("shard-1-of-2", &meta).unwrap();
-        match SessionManager::with_store_sequenced(ServiceConfig::default(), Box::new(store), 1, 2)
-        {
-            Err(StoreError::Corrupt { key, detail }) => {
+        let store = store_holding("meta-residue", "shard-1-of-2", meta);
+        match failed_reopen(&store, 1, 2) {
+            StoreError::Corrupt { key, detail } => {
                 assert_eq!(key, "shard-1-of-2");
                 assert!(detail.contains("next_id 4"), "{detail}");
             }
@@ -1426,17 +1418,22 @@ mod tests {
         }
         // Same for a cursor past the id space: adopting it would issue
         // ids the i64-valued meta record cannot round-trip.
-        let mut store = crate::store::MemoryStore::new();
         let meta = persist::encode_meta(&ManagerMeta {
             next_id: MAX_SESSION_ID + 2,
             clock: 0,
             stats: StatsV2::default(),
         });
-        store.put("shard-1-of-1", &meta).unwrap();
-        match SessionManager::with_store(ServiceConfig::default(), Box::new(store)) {
-            Err(StoreError::Corrupt { detail, .. }) => {
+        let store = store_holding("meta-id-space", "shard-1-of-1", meta);
+        match failed_reopen(&store, 1, 1) {
+            StoreError::Corrupt { detail, .. } => {
                 assert!(detail.contains("id space"), "{detail}")
             }
+            other => panic!("expected a corrupt-meta error, got {other:?}"),
+        }
+        // And for a record that does not parse as metadata at all.
+        let store = store_holding("meta-garbage", "shard-1-of-1", Value::str("}{ not json"));
+        match failed_reopen(&store, 1, 1) {
+            StoreError::Corrupt { key, .. } => assert_eq!(key, "shard-1-of-1"),
             other => panic!("expected a corrupt-meta error, got {other:?}"),
         }
     }
@@ -1487,7 +1484,7 @@ mod tests {
         let mut m = SessionManager::with_store(ServiceConfig::default(), store()).unwrap();
         m.register_site("anchors", anchor_site(4), Value::Object(vec![]));
         let id = m.create("anchors", None, None).unwrap();
-        m.dispatch(id, scrape(1)).unwrap();
+        send(&mut m, id, scrape(1)).unwrap();
         assert!(m.evict(id), "record spilled to the store");
 
         fail.store(true, std::sync::atomic::Ordering::SeqCst);
@@ -1503,10 +1500,7 @@ mod tests {
         let mut m = SessionManager::with_store(ServiceConfig::default(), store()).unwrap();
         m.register_site("anchors", anchor_site(4), Value::Object(vec![]));
         assert_eq!(m.session_count(), 0, "the closed session is not adopted");
-        assert_eq!(
-            m.dispatch(id, scrape(2)),
-            Err(ServiceError::UnknownSession(id.to_string()))
-        );
+        assert_eq!(send(&mut m, id, scrape(2)), unknown_session(id));
     }
 
     /// Checkpoint never deletes records this manager does not track: on
@@ -1541,11 +1535,10 @@ mod tests {
     #[test]
     fn huge_adopted_ids_are_rejected_as_corrupt() {
         for raw_id in [u64::MAX, MAX_SESSION_ID + 1] {
-            let mut store = crate::store::MemoryStore::new();
             let key = format!("s-{raw_id}");
-            store.put(&key, &Value::object([])).unwrap();
-            match SessionManager::with_store(ServiceConfig::default(), Box::new(store)) {
-                Err(StoreError::Corrupt { key: k, detail }) => {
+            let store = store_holding(&format!("huge-{raw_id}"), &key, Value::object([]));
+            match failed_reopen(&store, 1, 1) {
+                StoreError::Corrupt { key: k, detail } => {
                     assert_eq!(k, key);
                     assert!(detail.contains("id space"), "{detail}");
                 }
@@ -1553,17 +1546,17 @@ mod tests {
             }
         }
         // The cap itself is adoptable.
-        let mut store = crate::store::MemoryStore::new();
-        store
-            .put(&format!("s-{MAX_SESSION_ID}"), &Value::object([]))
-            .unwrap();
-        let m = SessionManager::with_store(ServiceConfig::default(), Box::new(store)).unwrap();
+        let store = store_holding(
+            "huge-cap",
+            &format!("s-{MAX_SESSION_ID}"),
+            Value::object([]),
+        );
+        let m = SessionManager::with_store(ServiceConfig::default(), store.boxed()).unwrap();
         assert_eq!(m.session_count(), 1);
         // Id 0 is never issued; under sharding it would route nowhere.
-        let mut store = crate::store::MemoryStore::new();
-        store.put("s-0", &Value::object([])).unwrap();
-        match SessionManager::with_store(ServiceConfig::default(), Box::new(store)) {
-            Err(StoreError::Corrupt { key, .. }) => assert_eq!(key, "s-0"),
+        let store = store_holding("id-zero", "s-0", Value::object([]));
+        match failed_reopen(&store, 1, 1) {
+            StoreError::Corrupt { key, .. } => assert_eq!(key, "s-0"),
             other => panic!("expected a corrupt-record error, got {other:?}"),
         }
     }
@@ -1590,7 +1583,7 @@ mod tests {
             let mut m = SessionManager::new(ServiceConfig::default());
             m.register_site("anchors", anchor_site(4), Value::Object(vec![]));
             let id = m.create("anchors", None, None).unwrap();
-            m.dispatch(id, scrape(1)).unwrap();
+            send(&mut m, id, scrape(1)).unwrap();
             let record = persist::encode_session(1, "anchors", None, &{
                 let Some(Tracked {
                     slot: Slot::Live { session, .. },
@@ -1605,11 +1598,15 @@ mod tests {
         }
         let mut m = SessionManager::with_store(ServiceConfig::default(), Box::new(store)).unwrap();
         // No site registered: the record cannot resolve.
-        let err = m.dispatch(SessionId(1), scrape(2)).unwrap_err();
-        assert_eq!(err, ServiceError::UnknownSite("anchors".to_string()));
+        assert_eq!(
+            send(&mut m, SessionId(1), scrape(2)),
+            Err(error_response(&ServiceError::UnknownSite(
+                "anchors".to_string()
+            )))
+        );
         // Registering the site afterwards repairs the session in place.
         m.register_site("anchors", anchor_site(4), Value::Object(vec![]));
-        m.dispatch(SessionId(1), scrape(2)).unwrap();
+        send(&mut m, SessionId(1), scrape(2)).unwrap();
     }
 
     #[test]

@@ -562,9 +562,9 @@ struct ShardCtx {
     metrics: Arc<Metrics>,
 }
 
-/// Far past any real synthesis timeout: "run this step to completion" —
-/// the budget of the drain after the front end hangs up.
-const RUN_TO_COMPLETION: Duration = Duration::from_secs(86_400);
+/// A budget that never parks: "run this step to completion" — the
+/// budget of the drain after the front end hangs up.
+const RUN_TO_COMPLETION: Duration = Duration::MAX;
 
 /// One session's run queue on its shard.
 #[derive(Default)]
@@ -995,49 +995,69 @@ mod tests {
 
     #[test]
     fn tiny_quanta_still_answer_every_request_exactly() {
-        // A zero quantum forces a park/resume cycle on (almost) every
-        // synthesis; responses must still match an unsharded manager,
-        // which never slices, byte for byte under sequential driving.
-        let sliced = ShardedManager::new(
-            ServiceConfig {
-                quantum: Duration::ZERO,
-                ..ServiceConfig::default()
-            },
-            2,
-        );
-        sliced.register_site("anchors", anchor_site(6), Value::Object(vec![]));
-        let mut unsliced = SessionManager::new(ServiceConfig::default());
-        unsliced.register_site("anchors", anchor_site(6), Value::Object(vec![]));
+        // Under sequential driving, sharded replies must match an
+        // unsharded manager's byte for byte whatever the quantum: a zero
+        // quantum parks after (almost) every worklist item, an unbounded
+        // one never parks, and a zero `deadline_ms` ends every search
+        // after one whole item on both.
+        for (quantum, deadline_ms) in [
+            (Duration::ZERO, None),
+            (Duration::MAX, None),
+            (ServiceConfig::default().quantum, Some(0)),
+        ] {
+            let sliced = ShardedManager::new(
+                ServiceConfig {
+                    quantum,
+                    ..ServiceConfig::default()
+                },
+                2,
+            );
+            sliced.register_site("anchors", anchor_site(6), Value::Object(vec![]));
+            let mut unsliced = SessionManager::new(ServiceConfig::default());
+            unsliced.register_site("anchors", anchor_site(6), Value::Object(vec![]));
+            let mut exchange = |request: Request| {
+                let reply = sliced.handle(request.clone()).to_json();
+                assert_eq!(
+                    reply,
+                    unsliced.handle(request).to_json(),
+                    "quantum {quantum:?}, deadline_ms {deadline_ms:?}: the replies differ"
+                );
+                reply
+            };
 
-        let create = Request::Create {
-            site: "anchors".to_string(),
-            input: None,
-            deadline_ms: None,
-        };
-        let mut requests = vec![create.clone(), create];
-        for i in 1..=3 {
-            for id in ["s-1", "s-2"] {
-                requests.push(Request::Event {
-                    session: id.to_string(),
-                    event: scrape(i),
-                });
+            let create = Request::Create {
+                site: "anchors".to_string(),
+                input: None,
+                deadline_ms,
+            };
+            exchange(create.clone());
+            exchange(create);
+            let mut last = Vec::new();
+            for i in 1..=3 {
+                last = ["s-1", "s-2"]
+                    .map(|id| {
+                        exchange(Request::Event {
+                            session: id.to_string(),
+                            event: scrape(i),
+                        })
+                    })
+                    .to_vec();
+            }
+            for reply in last {
+                assert!(reply.contains(r#""mode":"authorize""#), "{reply}");
+                assert!(reply.contains("a[4]"), "{reply}");
+            }
+            exchange(Request::Outputs {
+                session: "s-1".to_string(),
+            });
+            assert_eq!(sliced.stats_v2(), unsliced.stats_v2());
+            if quantum.is_zero() {
+                assert!(
+                    sliced.metrics().snapshot().parks > 0,
+                    "zero-budget quanta actually sliced a search"
+                );
             }
         }
-        requests.push(Request::Outputs {
-            session: "s-1".to_string(),
-        });
-        for request in requests {
-            assert_eq!(
-                sliced.handle(request.clone()).to_json(),
-                unsliced.handle(request).to_json(),
-                "quantum slicing changed wire responses"
-            );
-        }
-        assert_eq!(sliced.stats_v2(), unsliced.stats_v2());
-        assert!(
-            sliced.metrics().snapshot().parks > 0,
-            "zero-budget quanta actually sliced a search"
-        );
     }
 
     #[test]

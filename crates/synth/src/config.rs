@@ -28,7 +28,9 @@ pub struct SynthConfig {
     /// Cap on alternative selectors per node (forwarded to `webrobot-dom`).
     pub max_alternatives: usize,
     /// Wall-clock budget per [`Synthesizer::synthesize`](crate::Synthesizer)
-    /// call (the paper's per-test timeout is 1 s).
+    /// call (the paper's per-test timeout is 1 s), or per sliced search
+    /// summed over its quanta. Checked between worklist items: a call
+    /// processes at least one item and may overrun by the item in hand.
     pub timeout: Duration,
     /// Safety cap on worklist + processed items kept across runs.
     pub max_items: usize,

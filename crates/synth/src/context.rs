@@ -99,9 +99,9 @@ pub struct SynthContext {
     /// `(window, p)` pair produced, before per-item dedup. Sibling
     /// worklist items routinely carry identical windows (they differ only
     /// in program prefix), so replaying the stored bodies skips the whole
-    /// decompose → anti-unify → parametrize → cartesian pipeline. Only
-    /// *complete* expansions are stored — a deadline-cut expansion is
-    /// nondeterministic and must not be replayed.
+    /// decompose → anti-unify → parametrize → cartesian pipeline. An
+    /// expansion always runs whole (to the end or to the configured
+    /// `max_bodies_per_seed` cap), so a replay equals a recomputation.
     spec_cache: FxHashMap<SpecKey, SpecBodies>,
 }
 
@@ -323,10 +323,8 @@ impl SynthContext {
         self.spec_cache.get(key).cloned()
     }
 
-    /// Stores the bodies of one **complete** speculation expansion,
-    /// respecting the memo capacity. Callers must not store expansions
-    /// cut short by the deadline — replaying a partial enumeration would
-    /// diverge from recomputation.
+    /// Stores the bodies of one speculation expansion, respecting the
+    /// memo capacity.
     pub(crate) fn speculation_store(&mut self, key: SpecKey, bodies: SpecBodies) {
         if self.cfg.memoization && self.spec_cache.len() < self.cfg.memo_capacity {
             self.spec_cache.insert(key, bodies);

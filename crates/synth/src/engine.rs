@@ -392,13 +392,10 @@ impl Synthesizer {
         }
     }
 
-    /// Synthesizes with the configured timeout.
-    pub fn synthesize(&mut self) -> SynthResult {
-        let timeout = self.ctx.cfg.timeout;
-        self.synthesize_until(Instant::now() + timeout)
-    }
-
-    /// Synthesizes until `deadline`.
+    /// Synthesizes until the worklist empties, the stored-item cap
+    /// (`max_items`) is reached or the configured `timeout` passes: the
+    /// quantum loop of [`synthesize_quantum`](Self::synthesize_quantum)
+    /// with no budget, so it never parks.
     ///
     /// With incremental synthesis enabled this first re-checks the cached
     /// generalizing programs (fast path: if any still generalizes the
@@ -406,45 +403,12 @@ impl Synthesizer {
     /// worklist from `W ∪ W′` with newly demonstrated actions appended to
     /// every stored rewrite and trailing loops re-validated so they absorb
     /// the new actions.
-    pub fn synthesize_until(&mut self, deadline: Instant) -> SynthResult {
-        let started = Instant::now();
-        let (hits0, misses0) = resolve_counters();
-        let mut stats = SynthStats::default();
-
-        if !self.begin_search(&mut stats) {
-            stats.elapsed = started.elapsed();
-            Self::finish_resolve_stats(&mut stats, hits0, misses0);
-            return self.rank(stats);
-        }
-
-        // Main worklist loop (Alg. 1 lines 3–7).
-        while let Some(entry) = self.worklist.pop() {
-            if Instant::now() > deadline {
-                stats.timed_out = true;
-                // Not destructive: put the item back for the next call.
-                self.worklist.push(entry);
-                break;
-            }
-            let Some(item) = self.admit(entry.item) else {
-                continue;
-            };
-            stats.pops += 1;
-            self.process_item(item, &mut stats, deadline, true);
-            if self.worklist.len() + self.processed.len() > self.ctx.cfg.max_items {
-                stats.truncated = true;
-                break;
-            }
-            if stats.timed_out {
-                break;
-            }
-        }
-
-        // An unsliced call always concludes the search, even on timeout
-        // (the next call re-runs the prelude, as it always has).
-        self.searching = false;
-        stats.elapsed = started.elapsed();
-        Self::finish_resolve_stats(&mut stats, hits0, misses0);
-        self.rank(stats)
+    ///
+    /// The timeout is checked between worklist items, never inside one:
+    /// a call processes at least one item, and may overrun its timeout by
+    /// the item in hand.
+    pub fn synthesize(&mut self) -> SynthResult {
+        self.synthesize_quantum(Duration::MAX)
     }
 
     /// Runs at most `budget` of worklist search, parking the search when
@@ -452,22 +416,22 @@ impl Synthesizer {
     ///
     /// A sequence of `synthesize_quantum` calls with no intervening
     /// [`observe`](Self::observe) is equivalent to one
-    /// [`synthesize`](Self::synthesize) call with an unbounded deadline:
-    /// the worklist, dedup set and cached generalizing programs persist
-    /// across quanta, so the pop order — and therefore the final ranked
-    /// programs and predictions — are identical. While parked, the
+    /// [`synthesize`](Self::synthesize) call, which is this loop with a
+    /// budget of `Duration::MAX` (a budget past the clock's range never
+    /// parks): the worklist, dedup set and cached generalizing programs
+    /// persist across quanta, so the pop order — and therefore the final
+    /// ranked programs and predictions — are identical. While parked, the
     /// returned result withholds intermediate programs: `stats.parked`
     /// is `true` and `programs`/`predictions` are empty; call again to
     /// continue. The budget is checked only *between* worklist items
-    /// (each popped item is speculated and validated atomically, which
-    /// is what keeps the sliced search exactly equal to the unsliced
-    /// one), and at least one item is processed per quantum, so progress
-    /// is guaranteed even with a zero budget.
+    /// (each popped item is speculated and validated whole), and at
+    /// least one item is processed per quantum, so progress is
+    /// guaranteed even with a zero budget.
     ///
-    /// The configured `timeout` still bounds the *cumulative* search
-    /// time across quanta: a pathological session concludes with
-    /// `stats.timed_out` after roughly `timeout` worth of quanta instead
-    /// of parking forever.
+    /// The configured `timeout` bounds the *cumulative* search time
+    /// across quanta, checked at the same points: a pathological session
+    /// concludes with `stats.timed_out` after roughly `timeout` worth of
+    /// quanta instead of parking forever.
     pub fn synthesize_quantum(&mut self, budget: Duration) -> SynthResult {
         let started = Instant::now();
         let (hits0, misses0) = resolve_counters();
@@ -479,12 +443,10 @@ impl Synthesizer {
             return self.rank(stats);
         }
 
-        // Far deadline for speculation: a quantum never truncates the
-        // item it is processing, or sliced and unsliced searches would
-        // diverge.
-        let far = started + Duration::from_secs(86_400);
-        let quantum_deadline = started + budget;
+        // `None` when the budget runs past the clock's range: never park.
+        let quantum_deadline = started.checked_add(budget);
         let timeout = self.ctx.cfg.timeout;
+        // The worklist loop (Alg. 1 lines 3–7).
         loop {
             let Some(entry) = self.worklist.pop() else {
                 self.searching = false;
@@ -494,7 +456,7 @@ impl Synthesizer {
                 continue;
             };
             stats.pops += 1;
-            self.process_item(item, &mut stats, far, false);
+            self.process_item(item, &mut stats);
             if self.worklist.len() + self.processed.len() > self.ctx.cfg.max_items {
                 stats.truncated = true;
                 self.searching = false;
@@ -506,7 +468,7 @@ impl Synthesizer {
                 self.searching = false;
                 break;
             }
-            if now >= quantum_deadline {
+            if quantum_deadline.is_some_and(|deadline| now >= deadline) {
                 stats.parked = true;
                 break;
             }
@@ -545,7 +507,7 @@ impl Synthesizer {
             return true;
         }
         if !self.ctx.cfg.incremental {
-            self.reset_from_scratch();
+            self.reset_incremental();
         } else {
             self.refresh_generalizing();
             if !self.generalizing.is_empty() {
@@ -559,19 +521,9 @@ impl Synthesizer {
         true
     }
 
-    /// Processes one admitted worklist item: the generalization check
-    /// plus speculate / validate / push (Alg. 1 lines 4–6). `deadline`
-    /// bounds speculation; when `interruptible` is set, validation may
-    /// additionally abort between rewrites once the deadline passes (the
-    /// legacy lossy timeout — quantum mode processes each item
-    /// atomically instead and passes `false`).
-    fn process_item(
-        &mut self,
-        item: Item,
-        stats: &mut SynthStats,
-        deadline: Instant,
-        interruptible: bool,
-    ) {
+    /// Processes one admitted worklist item whole: the generalization
+    /// check plus speculate / validate / push (Alg. 1 lines 4–6).
+    fn process_item(&mut self, item: Item, stats: &mut SynthStats) {
         let canon_ids: Vec<StmtId> = item
             .statements()
             .iter()
@@ -592,16 +544,12 @@ impl Synthesizer {
                 }
             }
         }
-        let rewrites: Vec<SRewrite> = speculate(&item, &mut self.ctx, deadline);
+        let rewrites: Vec<SRewrite> = speculate(&item, &mut self.ctx);
         for sr in &rewrites {
             stats.validations += 1;
             if let Some(new_item) = validate(sr, &item, &self.ctx) {
                 stats.pushes += 1;
                 self.push_spliced(new_item, &canon_ids, sr);
-            }
-            if interruptible && stats.validations.is_multiple_of(64) && Instant::now() > deadline {
-                stats.timed_out = true;
-                break;
             }
         }
         self.processed.push(item);
@@ -690,15 +638,10 @@ impl Synthesizer {
     /// `P₀` again, exactly as a freshly constructed synthesizer would —
     /// but keeping the context's selector caches warm.
     ///
-    /// This is the from-scratch reference of the differential test
-    /// harness (`tests/differential.rs`).
+    /// This is the *No incremental* ablation's prelude and the
+    /// from-scratch reference of the differential test harness
+    /// (`tests/differential.rs`).
     pub fn reset_incremental(&mut self) {
-        self.reset_from_scratch();
-    }
-
-    /// The *No incremental* ablation: drop every stored rewrite and start
-    /// from the singleton program `P₀` again.
-    fn reset_from_scratch(&mut self) {
         self.worklist.clear();
         self.processed.clear();
         self.generalizing.clear();
@@ -1180,6 +1123,41 @@ mod tests {
         assert!(!result.stats.parked);
         assert!(!result.programs.is_empty());
         assert!(!synth.is_parked());
+    }
+
+    /// The timeout is checked between worklist items, never inside one:
+    /// a zero timeout still processes one whole item, exactly as a
+    /// zero-budget quantum does.
+    #[test]
+    fn a_zero_timeout_call_processes_one_whole_item() {
+        let cfg = SynthConfig {
+            timeout: Duration::ZERO,
+            ..SynthConfig::default()
+        };
+        let unsliced = Synthesizer::new(cfg.clone(), scrape_trace(4, 6))
+            .synthesize()
+            .stats;
+        let sliced = Synthesizer::new(cfg, scrape_trace(4, 6))
+            .synthesize_quantum(Duration::ZERO)
+            .stats;
+        assert!(unsliced.timed_out && sliced.timed_out);
+        assert_eq!(unsliced.pops, 1);
+        assert_eq!(
+            (unsliced.pops, unsliced.pushes, unsliced.validations),
+            (sliced.pops, sliced.pushes, sliced.validations)
+        );
+    }
+
+    #[test]
+    fn an_unbounded_quantum_never_parks() {
+        let mut sliced = Synthesizer::new(SynthConfig::default(), scrape_trace(3, 6));
+        let result = sliced.synthesize_quantum(Duration::MAX);
+        assert!(!result.stats.parked);
+        assert!(!sliced.is_parked());
+        let reference = Synthesizer::new(SynthConfig::default(), scrape_trace(3, 6)).synthesize();
+        assert_eq!(result.predictions, reference.predictions);
+        assert_eq!(result.programs.len(), reference.programs.len());
+        assert_eq!(result.stats.pops, reference.stats.pops);
     }
 
     #[test]

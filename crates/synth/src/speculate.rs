@@ -3,7 +3,6 @@
 
 use std::mem::discriminant;
 use std::sync::Arc;
-use std::time::Instant;
 
 use webrobot_dom::FxHashSet;
 use webrobot_lang::{ForeachSel, ForeachVal, Statement, StmtId, While};
@@ -38,14 +37,12 @@ pub struct SRewrite {
 }
 
 /// Runs Alg. 2 on `item`, producing s-rewrites for selector loops,
-/// value-path loops and while loops.
-///
-/// `deadline` aborts the (cubic) enumeration early; partial results are
-/// returned. Results are deduplicated up to alpha-equivalence.
-pub fn speculate(item: &Item, ctx: &mut SynthContext, deadline: Instant) -> Vec<SRewrite> {
+/// value-path loops and while loops. Results are deduplicated up to
+/// alpha-equivalence.
+pub fn speculate(item: &Item, ctx: &mut SynthContext) -> Vec<SRewrite> {
     let mut out = Vec::new();
     let mut seen: FxHashSet<(StmtId, usize, usize)> = FxHashSet::default();
-    speculate_foreach(item, ctx, deadline, &mut out, &mut seen);
+    speculate_foreach(item, ctx, &mut out, &mut seen);
     speculate_while(item, ctx, &mut out, &mut seen);
     out
 }
@@ -84,7 +81,6 @@ fn push_unique(
 fn speculate_foreach(
     item: &Item,
     ctx: &mut SynthContext,
-    deadline: Instant,
     out: &mut Vec<SRewrite>,
     seen: &mut FxHashSet<(StmtId, usize, usize)>,
 ) {
@@ -126,9 +122,6 @@ fn speculate_foreach(
                 }
                 None => j,
             };
-            if Instant::now() > deadline {
-                return;
-            }
             // The window half of the speculation-cache key, built once per
             // `(i, j)`: the `p` loop below only bumps refcounts.
             let window = (ctx.cfg.memoization && i + len < l).then(|| {
@@ -185,9 +178,8 @@ fn speculate_foreach(
                     ctx,
                 );
                 let mut raw = Vec::new();
-                let mut complete = true;
                 for seed in seeds {
-                    complete &= expand_seed(item, ctx, seed, i, j, p, deadline, &mut raw);
+                    expand_seed(item, ctx, seed, i, j, p, &mut raw);
                 }
                 // Canonicalize once per raw statement: the id keys both
                 // this item's dedup and the cached entry replays read.
@@ -205,12 +197,8 @@ fn speculate_foreach(
                     }
                     entries.push((cid, stmt));
                 }
-                // Deadline-cut expansions are nondeterministic: storing
-                // one would replay the truncation forever.
-                if complete {
-                    if let Some(key) = key {
-                        ctx.speculation_store(key, Arc::new(entries));
-                    }
+                if let Some(key) = key {
+                    ctx.speculation_store(key, Arc::new(entries));
                 }
             }
         }
@@ -218,19 +206,9 @@ fn speculate_foreach(
 }
 
 /// Lines 4–7 / 10–13 of Alg. 2: build every loop body from the Cartesian
-/// product of per-statement parametrizations (capped).
-///
-/// `deadline` also bounds the product expansion itself: a seed over a wide
-/// window with many parametrizations per slot can be expensive even under
-/// the `max_bodies_per_seed` cap, and previously ran to completion no
-/// matter how late it was. Partial results are returned — only complete
-/// loop bodies, never truncated ones.
-///
-/// Pushes the raw (pre-dedup) loop statements into `raw` and returns
-/// whether the expansion ran to completion — `false` exactly when the
-/// deadline cut the product, in which case the caller must not memoize
-/// the result.
-#[allow(clippy::too_many_arguments)]
+/// product of per-statement parametrizations (capped at
+/// `max_bodies_per_seed`), pushing the raw (pre-dedup) loop statements
+/// into `raw`.
 fn expand_seed(
     item: &Item,
     ctx: &mut SynthContext,
@@ -238,9 +216,8 @@ fn expand_seed(
     i: usize,
     j: usize,
     p: usize,
-    deadline: Instant,
     raw: &mut Vec<Statement>,
-) -> bool {
+) {
     let stmts = item.statements();
     // Per-position choices: the template at p, parametrizations elsewhere.
     let mut choices: Vec<Vec<Statement>> = Vec::with_capacity(j - i + 1);
@@ -251,7 +228,7 @@ fn expand_seed(
             list,
         } => {
             let Some(base) = list.base.as_concrete() else {
-                return true;
+                return;
             };
             let first = list.element(base, 1);
             for (k, stmt) in stmts.iter().enumerate().take(j + 1).skip(i) {
@@ -274,7 +251,7 @@ fn expand_seed(
             list,
         } => {
             let Some(array) = list.array.as_concrete() else {
-                return true;
+                return;
             };
             let first = list.element(array, 1);
             for (k, stmt) in stmts.iter().enumerate().take(j + 1).skip(i) {
@@ -286,9 +263,7 @@ fn expand_seed(
             }
         }
     }
-    let cap = ctx.cfg.max_bodies_per_seed;
-    let (bodies, complete) = cartesian(&choices, cap, deadline);
-    for body in bodies {
+    for body in cartesian(&choices, ctx.cfg.max_bodies_per_seed) {
         let stmt = match &seed {
             LoopSeed::Sel { var, list, .. } => Statement::ForeachSel(ForeachSel {
                 var: *var,
@@ -303,24 +278,13 @@ fn expand_seed(
         };
         raw.push(stmt);
     }
-    complete
 }
 
-/// Odometer-style Cartesian product: the first `cap` complete bodies in
-/// lexicographic slot order (last slot varying fastest), stopping early —
-/// with only whole bodies emitted — once `deadline` passes.
-///
-/// The flag is `true` iff the enumeration was *deterministic*: it ran to
-/// the end or to the (configured, reproducible) cap. A deadline cut
-/// returns `false` — that prefix depends on wall-clock time and must not
-/// be memoized.
-fn cartesian(
-    choices: &[Vec<Statement>],
-    cap: usize,
-    deadline: Instant,
-) -> (Vec<Arc<[Statement]>>, bool) {
+/// Odometer-style Cartesian product: the first `cap` bodies in
+/// lexicographic slot order (last slot varying fastest).
+fn cartesian(choices: &[Vec<Statement>], cap: usize) -> Vec<Arc<[Statement]>> {
     if choices.iter().any(Vec::is_empty) {
-        return (Vec::new(), true);
+        return Vec::new();
     }
     let mut out: Vec<Arc<[Statement]>> = Vec::new();
     let mut odometer = vec![0usize; choices.len()];
@@ -333,16 +297,13 @@ fn cartesian(
                 .collect(),
         );
         if out.len() >= cap {
-            return (out, true);
-        }
-        if Instant::now() > deadline {
-            return (out, false);
+            return out;
         }
         // Increment, last slot fastest; full wrap-around means done.
         let mut slot = choices.len();
         loop {
             let Some(s) = slot.checked_sub(1) else {
-                return (out, true);
+                return out;
             };
             slot = s;
             odometer[slot] += 1;
@@ -397,15 +358,10 @@ mod tests {
     use super::*;
     use crate::config::SynthConfig;
     use std::sync::Arc;
-    use std::time::Duration;
     use webrobot_data::Value;
     use webrobot_dom::parse_html;
     use webrobot_lang::Action;
     use webrobot_semantics::Trace;
-
-    fn far_deadline() -> Instant {
-        Instant::now() + Duration::from_secs(60)
-    }
 
     /// Trace scraping two fields of the first two of three items.
     fn two_field_trace() -> Trace {
@@ -438,7 +394,7 @@ mod tests {
         let trace = two_field_trace();
         let mut ctx = SynthContext::new(SynthConfig::default(), trace.clone());
         let item = Item::initial(&trace);
-        let srs = speculate(&item, &mut ctx, far_deadline());
+        let srs = speculate(&item, &mut ctx);
         // Look for a loop whose first iteration is statements 0..=1 and
         // whose body scrapes both fields through the loop variable.
         let found = srs.iter().any(|sr| {
@@ -463,7 +419,7 @@ mod tests {
         }
         let mut ctx = SynthContext::new(SynthConfig::default(), t.clone());
         let item = Item::initial(&t);
-        let srs = speculate(&item, &mut ctx, far_deadline());
+        let srs = speculate(&item, &mut ctx);
         let whiles: Vec<_> = srs
             .iter()
             .filter(|sr| matches!(*sr.stmt, Statement::While(_)))
@@ -486,7 +442,7 @@ mod tests {
         t.push(Action::ScrapeText("/a[3]".parse().unwrap()), dom.clone());
         let mut ctx = SynthContext::new(SynthConfig::default(), t.clone());
         let item = Item::initial(&t);
-        let srs = speculate(&item, &mut ctx, far_deadline());
+        let srs = speculate(&item, &mut ctx);
         let spurious: Vec<_> = srs
             .iter()
             .filter(|sr| sr.i == 0 && sr.j == 1 && matches!(*sr.stmt, Statement::ForeachSel(_)))
@@ -506,11 +462,11 @@ mod tests {
         let trace = two_field_trace();
         let mut ctx = SynthContext::new(SynthConfig::default(), trace.clone());
         let item = Item::initial(&trace);
-        let first = speculate(&item, &mut ctx, far_deadline());
+        let first = speculate(&item, &mut ctx);
         // Second pass over the same windows: every foreach expansion is a
         // cache replay, and the result is the same rewrite list up to
         // binder freshening.
-        let second = speculate(&item, &mut ctx, far_deadline());
+        let second = speculate(&item, &mut ctx);
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!((a.i, a.j), (b.i, b.j));
@@ -518,7 +474,7 @@ mod tests {
         }
         // Disabling memoization must bypass the cache entirely.
         let mut plain = SynthContext::new(SynthConfig::no_optimizations(), trace.clone());
-        let uncached = speculate(&item, &mut plain, far_deadline());
+        let uncached = speculate(&item, &mut plain);
         assert_eq!(first.len(), uncached.len());
         for (a, b) in first.iter().zip(&uncached) {
             assert_eq!((a.i, a.j), (b.i, b.j));
@@ -527,26 +483,11 @@ mod tests {
     }
 
     #[test]
-    fn deadline_aborts_enumeration() {
-        let trace = two_field_trace();
-        let mut ctx = SynthContext::new(SynthConfig::default(), trace.clone());
-        let item = Item::initial(&trace);
-        let srs = speculate(&item, &mut ctx, Instant::now() - Duration::from_secs(1));
-        // Only the (cheap) while pass may contribute; foreach pass aborted.
-        assert!(srs.iter().all(|sr| matches!(*sr.stmt, Statement::While(_))));
-    }
-
-    #[test]
     fn cartesian_caps_products() {
         let a = Statement::GoBack;
         let choices = vec![vec![a.clone(); 4], vec![a.clone(); 4], vec![a; 4]];
-        let (capped, complete) = cartesian(&choices, 10, far_deadline());
-        assert_eq!(capped.len(), 10);
-        // A cap cut is deterministic, so it still counts as complete.
-        assert!(complete);
-        let (full, complete) = cartesian(&choices, 1000, far_deadline());
-        assert_eq!(full.len(), 64);
-        assert!(complete);
+        assert_eq!(cartesian(&choices, 10).len(), 10);
+        assert_eq!(cartesian(&choices, 1000).len(), 64);
     }
 
     proptest::proptest! {
@@ -589,36 +530,8 @@ mod tests {
                 reference = next;
             }
             let reference: Vec<Arc<[Statement]>> = reference.into_iter().map(Into::into).collect();
-            let (got, complete) = cartesian(&choices, cap, far_deadline());
-            proptest::prop_assert!(complete);
-            proptest::prop_assert_eq!(got, reference);
+            proptest::prop_assert_eq!(cartesian(&choices, cap), reference);
         }
-    }
-
-    #[test]
-    fn cartesian_deadline_returns_partial_complete_bodies() {
-        // Regression: a deadline mid-expansion must return *some* bodies,
-        // each of full window length (never truncated), and they must be
-        // a prefix of the unbounded enumeration.
-        let mk = |s: &str| Statement::ScrapeText(Selector::rooted(s.parse().unwrap()));
-        let choices = vec![
-            vec![mk("/a[1]"), mk("/a[2]")],
-            vec![mk("/b[1]"), mk("/b[2]"), mk("/b[3]")],
-            vec![mk("/c[1]"), mk("/c[2]")],
-        ];
-        let expired = Instant::now() - Duration::from_secs(1);
-        let (partial, partial_complete) = cartesian(&choices, 1000, expired);
-        let (full, full_complete) = cartesian(&choices, 1000, far_deadline());
-        assert!(!partial_complete, "a deadline cut is flagged incomplete");
-        assert!(full_complete);
-        assert_eq!(full.len(), 12);
-        assert!(!partial.is_empty(), "at least one body is always produced");
-        assert!(
-            partial.len() < full.len(),
-            "deadline actually cut the product"
-        );
-        assert!(partial.iter().all(|body| body.len() == choices.len()));
-        assert_eq!(partial[..], full[..partial.len()]);
     }
 
     use webrobot_lang::Selector;

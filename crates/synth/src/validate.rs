@@ -85,7 +85,6 @@ mod tests {
     use crate::config::SynthConfig;
     use crate::speculate::speculate;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
     use webrobot_data::Value;
     use webrobot_dom::parse_html;
     use webrobot_lang::{Action, Statement};
@@ -111,7 +110,7 @@ mod tests {
         let trace = four_anchor_trace();
         let mut ctx = SynthContext::new(SynthConfig::default(), trace.clone());
         let item = Item::initial(&trace);
-        let srs = speculate(&item, &mut ctx, Instant::now() + Duration::from_secs(10));
+        let srs = speculate(&item, &mut ctx);
         let mut validated: Vec<Item> = srs
             .iter()
             .filter_map(|sr| validate(sr, &item, &ctx))
@@ -144,7 +143,7 @@ mod tests {
         t.push(Action::ScrapeText("/h3[1]".parse().unwrap()), dom.clone());
         let mut ctx = SynthContext::new(SynthConfig::default(), t.clone());
         let item = Item::initial(&t);
-        let srs = speculate(&item, &mut ctx, Instant::now() + Duration::from_secs(10));
+        let srs = speculate(&item, &mut ctx);
         // A window [a1] with pair (a1, a2) speculates a 1-statement loop;
         // executing it scrapes a[1], a[2] and then *stops* (no a[3]), so
         // r = 1 ≥ j+1 = 1 ✓ — it IS a true rewrite covering exactly the two

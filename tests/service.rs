@@ -243,8 +243,13 @@ fn outputs_survive_eviction() {
     let mut manager = SessionManager::new(ServiceConfig::default());
     manager.register_site("anchors", site, Value::Object(vec![]));
     let id = manager.create("anchors", None, None).unwrap();
-    manager.dispatch(id, scrape(1)).unwrap();
-    manager.dispatch(id, scrape(2)).unwrap();
+    for i in 1..=2 {
+        let event = Request::Event {
+            session: id.to_string(),
+            event: scrape(i),
+        };
+        assert!(matches!(manager.handle(event), Response::Event { .. }));
+    }
     assert!(manager.evict(id));
     assert!(manager.is_evicted(id));
     assert_eq!(
